@@ -44,7 +44,9 @@ use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use lineup::AdtKind;
-use lineup::{explore_matrix, ErasedTarget, History, HistoryCache, SymmetryGroups, TestMatrix};
+use lineup::{
+    explore_matrix, ErasedTarget, History, HistoryCache, KeyWriter, SymmetryGroups, TestMatrix,
+};
 use lineup_bench::{arg_flag, arg_num, arg_value, TextTable};
 use lineup_collections::concurrent_queue::{contended_matrix, fig1_matrix, ConcurrentQueueTarget};
 use lineup_collections::hinted_queue::{fuzz4x4_matrix, fuzz5x4_matrix, HintedQueueTarget};
@@ -66,36 +68,40 @@ struct Verdicts {
     monitor: Arc<Monitor<ReplayOracle>>,
     groups: SymmetryGroups,
     cache: HistoryCache<bool>,
+    keys: KeyWriter,
 }
 
 impl Verdicts {
     /// Whether a *complete* history is linearizable (Definition 1).
     fn full_ok(&mut self, history: &History) -> bool {
-        let key = self.groups.canonicalize(history);
-        match self.cache.get(&key) {
-            Some(ok) => ok,
-            None => {
-                let ok = self.monitor.check_full(history, &[]);
-                self.cache.insert_if_absent(&key, ok);
-                ok
-            }
-        }
+        self.cached(history, |monitor| monitor.check_full(history, &[]))
     }
 
     /// Whether a *stuck* history is acceptable: every pending operation
     /// has a stuck witness (Definition 2).
     fn stuck_ok(&mut self, history: &History) -> bool {
-        let key = self.groups.canonicalize(history);
-        match self.cache.get(&key) {
-            Some(ok) => ok,
-            None => {
-                let ok = history
-                    .pending_ops()
-                    .into_iter()
-                    .all(|e| self.monitor.check_stuck(history, e, &[]));
-                self.cache.insert_if_absent(&key, ok);
+        self.cached(history, |monitor| {
+            history
+                .pending_ops()
+                .into_iter()
+                .all(|e| monitor.check_stuck(history, e, &[]))
+        })
+    }
+
+    /// The cached verdict of `history`'s symmetry class, running `check`
+    /// on a miss.
+    fn cached(
+        &mut self,
+        history: &History,
+        check: impl FnOnce(&Monitor<ReplayOracle>) -> bool,
+    ) -> bool {
+        let key = self.groups.key(history, &mut self.keys);
+        match self.cache.get_key(&key) {
+            Some(ok) => {
+                self.keys.recycle(key);
                 ok
             }
+            None => self.cache.insert_key_if_absent(key, check(&self.monitor)).0,
         }
     }
 }
@@ -171,10 +177,12 @@ where
             } else {
                 m2.symmetry_groups(target.symmetry_policy())
             };
+            let cache = HistoryCache::new(1);
             Verdicts {
                 monitor: adt_monitor_backend(erased, &m2, kind),
                 groups,
-                cache: HistoryCache::new(1),
+                keys: cache.writer(),
+                cache,
             }
         }),
     }

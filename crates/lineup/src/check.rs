@@ -16,7 +16,7 @@ use lineup_sched::{
 
 use crate::adt::MonitorPathStats;
 use crate::harness::{explore_matrix, explore_matrix_with_strategy};
-use crate::history::{History, HistoryCache, OpIndex};
+use crate::history::{History, HistoryCache, HistoryKey, OpIndex};
 use crate::matrix::{SymmetryGroups, TestMatrix};
 use crate::spec::{Nondeterminism, ObservationSet, SerialHistory, SpecIndex};
 use crate::target::TestTarget;
@@ -147,7 +147,7 @@ pub struct CheckOptions {
     /// may be scheduled first — the skipped orders yield renamings of
     /// explored histories — and (b) the phase-2 verdict cache keys on the
     /// *canonical* form of each history
-    /// ([`SymmetryGroups::canonicalize`]), so one witness search covers a
+    /// ([`SymmetryGroups::key`]), so one witness search covers a
     /// whole renaming class and violation lists report one history per
     /// class. Schedule pruning only engages where sleep sets would
     /// (exhaustive DFS-family exploration, no preemption bound); the
@@ -715,6 +715,7 @@ fn check_against_spec_at<T: TestTarget>(
     // schedules — and, under symmetry, through renamings — so each
     // canonical class needs only one witness search.
     let cache: HistoryCache<CachedVerdict> = HistoryCache::new(1);
+    let mut keys = cache.writer();
     // Specifications of the sub-tests obtained by dropping spuriously-
     // failed operations, synthesized on demand (phase 1 is cheap, §5.4)
     // and cached per removal set.
@@ -762,8 +763,10 @@ fn check_against_spec_at<T: TestTarget>(
                 // A history already seen (through another schedule, or as
                 // a symmetric renaming) was already checked — and
                 // reported, if it was a violation.
-                let key = groups.canonicalize(&run.history);
-                if cache.get(&key).is_none() {
+                let key = groups.key(&run.history, &mut keys);
+                if cache.get_key(&key).is_some() {
+                    keys.recycle(key);
+                } else {
                     full = full.saturating_add(1);
                     let verdict = full_verdict(
                         target,
@@ -780,12 +783,14 @@ fn check_against_spec_at<T: TestTarget>(
                         });
                         ok = false;
                     }
-                    cache.insert_if_absent(&key, verdict);
+                    cache.insert_key_if_absent(key, verdict);
                 }
             }
             RunOutcome::Deadlock | RunOutcome::Livelock | RunOutcome::StuckSerial => {
-                let key = groups.canonicalize(&run.history);
-                if cache.get(&key).is_none() {
+                let key = groups.key(&run.history, &mut keys);
+                if cache.get_key(&key).is_some() {
+                    keys.recycle(key);
+                } else {
                     stuck = stuck.saturating_add(1);
                     let verdict = stuck_verdict(
                         target,
@@ -805,7 +810,7 @@ fn check_against_spec_at<T: TestTarget>(
                         });
                         ok = false;
                     }
-                    cache.insert_if_absent(&key, verdict);
+                    cache.insert_key_if_absent(key, verdict);
                 }
             }
         }
@@ -839,7 +844,7 @@ fn check_against_spec_at<T: TestTarget>(
 /// The thread-symmetry structure phase 2 works with: the matrix's groups
 /// under the target's policy, or the empty structure when the check's
 /// [`symmetry`](CheckOptions::symmetry) flag is off (the `--no-symmetry`
-/// escape hatch). Empty groups make [`SymmetryGroups::canonicalize`] the
+/// escape hatch). Empty groups make [`SymmetryGroups::key`]'s renaming the
 /// identity and [`SymmetryGroups::masks`] empty, so both the schedule
 /// pruning and the canonical cache keys degrade to the unreduced
 /// behaviour.
@@ -985,11 +990,11 @@ fn stuck_verdict<T: TestTarget>(
 /// would have reported.
 struct Claim {
     decisions: Vec<usize>,
-    /// History key for deduplication (the canonicalized, unreduced
+    /// History key for deduplication (of the canonicalized, unreduced
     /// history, matching the serial path's verdict-cache key); `None` for
     /// panics, which are reported per occurrence like the serial path
     /// does.
-    key: Option<History>,
+    key: Option<HistoryKey>,
     violation: Violation,
 }
 
@@ -1133,6 +1138,7 @@ fn check_against_spec_at_parallel<T: TestTarget>(
                         Some(confirm),
                     )?;
                     let abandon = strategy.abandon_flag();
+                    let mut keys = cache.writer();
                     // Sub-test specifications are cheap to synthesize
                     // (phase 1, §5.4), so each worker keeps its own cache
                     // rather than sharing.
@@ -1195,12 +1201,15 @@ fn check_against_spec_at_parallel<T: TestTarget>(
                                 | RunOutcome::Deadlock
                                 | RunOutcome::Livelock
                                 | RunOutcome::StuckSerial => {
-                                    let key = groups.canonicalize(&run.history);
-                                    let verdict = match cache.get(&key) {
-                                        Some(v) => v,
+                                    let key = groups.key(&run.history, &mut keys);
+                                    let verdict = match cache.get_key(&key) {
+                                        Some(v) => {
+                                            keys.recycle(key);
+                                            v
+                                        }
                                         None => {
                                             // Witness search runs outside any
-                                            // cache lock; `insert_if_absent`
+                                            // cache lock; `insert_key_if_absent`
                                             // resolves the (rare) race where
                                             // two workers compute the same
                                             // history, counting it once.
@@ -1224,7 +1233,7 @@ fn check_against_spec_at_parallel<T: TestTarget>(
                                                 )
                                             };
                                             let (v, inserted) =
-                                                cache.insert_if_absent(&key, computed);
+                                                cache.insert_key_if_absent(key, computed);
                                             if inserted {
                                                 if run.outcome == RunOutcome::Complete {
                                                     full_count.fetch_add(1, Ordering::SeqCst);
@@ -1264,7 +1273,7 @@ fn check_against_spec_at_parallel<T: TestTarget>(
                                         };
                                         claims.lock().unwrap().push(Claim {
                                             decisions: run.decisions.clone(),
-                                            key: Some(key),
+                                            key: Some(groups.key(&run.history, &mut keys)),
                                             violation,
                                         });
                                     }
@@ -1330,10 +1339,10 @@ fn check_against_spec_at_parallel<T: TestTarget>(
     let mut claims = claims.into_inner().unwrap_or_else(|e| e.into_inner());
     claims.sort_by(|a, b| a.decisions.cmp(&b.decisions));
     let mut violations = Vec::new();
-    let mut reported: HashSet<History> = HashSet::new();
+    let mut reported: HashSet<HistoryKey> = HashSet::new();
     for claim in claims {
-        if let Some(key) = &claim.key {
-            if !reported.insert(key.clone()) {
+        if let Some(key) = claim.key {
+            if !reported.insert(key) {
                 continue;
             }
         }

@@ -4,12 +4,13 @@
 //! history additionally ends with the symbol `#`, meaning none of its
 //! pending operations can complete (deadlock, livelock, divergence).
 
+use crate::adt::AdtKind;
 use crate::target::Invocation;
 use crate::value::Value;
-use std::collections::hash_map::DefaultHasher;
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -293,25 +294,337 @@ impl History {
     }
 }
 
-/// A sharded history-keyed verdict cache: the one duplicate-history cache
-/// shared by phase-2 checking (`check`), the stress runner, and the
-/// monitoring server's shards.
+/// An exact, compact stand-in for a [`History`] as a verdict-cache key:
+/// the history's events in a self-delimiting byte encoding, plus the
+/// 64-bit hash of those bytes under the sealing cache's hash key.
 ///
-/// Callers key it on the *canonical* form of each history
-/// ([`SymmetryGroups::canonicalize`](crate::SymmetryGroups::canonicalize)),
-/// so a cached verdict covers the history's whole symmetry class: phase 2
-/// computes one monitor verdict per class instead of one per renaming.
-/// With empty symmetry groups canonicalization is the identity and the
-/// cache degenerates to the raw duplicate-history cache the stress bin
-/// originally grew.
+/// # Encoding
 ///
-/// Sharded by history hash so parallel workers rarely contend on one
-/// mutex; single-threaded consumers simply use one shard. Hits (a `get`
+/// ```text
+/// key     := header event* STUCK?
+/// header  := HISTORY uint(threads)
+///          | WINDOW kind:u8 uint(threads) uint(n) int{n}      -- carried state
+/// event   := CALL uint(thread) str(name) uint(argc) value{argc}
+///          | RET  uint(op) value
+/// value   := UNIT | FALSE | TRUE | FAIL | NONE
+///          | INT int | STR str | SEQ uint(n) value{n} | SOME value
+/// str(s)  := uint(len) bytes
+/// uint    := LEB128          int := LEB128 of the zigzag fold
+/// ```
+///
+/// Every production starts with a tag byte that fixes how the following
+/// bytes parse, and every variable-length part carries its length, so a
+/// key decodes in exactly one way: two keys are byte-equal iff they were
+/// written from the same header, the same events in the same order and
+/// the same stuck flag. Equality is that byte comparison — the cached
+/// verdicts are exactly the ones a [`History`]-valued key would give.
+///
+/// The hash is only meaningful to the cache whose
+/// [`writer`](HistoryCache::writer) sealed the key; keys sealed for
+/// different caches still compare equal when their bytes do.
+#[derive(Debug, Clone)]
+pub struct HistoryKey {
+    bytes: Vec<u8>,
+    /// Identity of the hash key `hash` was computed under.
+    seed: u64,
+    hash: u64,
+}
+
+impl HistoryKey {
+    /// The key of `h` as it stands (no symmetry renaming), sealed under a
+    /// throwaway hash key: for comparing keys, not for probing a cache.
+    pub fn of(h: &History) -> Self {
+        KeyWriter::new().history(h)
+    }
+
+    /// The encoded bytes.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+}
+
+impl PartialEq for HistoryKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.bytes == other.bytes
+    }
+}
+
+impl Eq for HistoryKey {}
+
+impl Hash for HistoryKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+/// Passes a [`HistoryKey`]'s stored hash through to the map unchanged: the
+/// bytes were hashed once, with a keyed hasher, when the key was sealed.
+#[derive(Debug, Default)]
+struct StoredHash(u64);
+
+impl Hasher for StoredHash {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("HistoryKey hashes as one u64");
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// One cache's hash key: the standard library's randomly keyed SipHash,
+/// so keys that arrive over the wire cannot be crafted to collide.
+#[derive(Debug, Clone)]
+struct KeySeed {
+    state: RandomState,
+    id: u64,
+}
+
+impl KeySeed {
+    fn fresh() -> Self {
+        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
+        KeySeed {
+            state: RandomState::new(),
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
+        }
+    }
+}
+
+const HEADER_HISTORY: u8 = 0;
+const HEADER_WINDOW: u8 = 1;
+const EVENT_CALL: u8 = 0;
+const EVENT_RET: u8 = 1;
+const EVENT_STUCK: u8 = 2;
+const VALUE_UNIT: u8 = 0;
+const VALUE_FALSE: u8 = 1;
+const VALUE_TRUE: u8 = 2;
+const VALUE_INT: u8 = 3;
+const VALUE_STR: u8 = 4;
+const VALUE_FAIL: u8 = 5;
+const VALUE_SEQ: u8 = 6;
+const VALUE_NONE: u8 = 7;
+const VALUE_SOME: u8 = 8;
+
+/// Writes a [`HistoryKey`] event by event, so a consumer that sees events
+/// one at a time (the monitoring server's shards) never materializes a
+/// second history to key its cache: `begin*`, then `call`/`ret` as events
+/// arrive, then [`seal`](KeyWriter::seal).
+#[derive(Debug)]
+pub struct KeyWriter {
+    buf: Vec<u8>,
+    seed: KeySeed,
+}
+
+impl Default for KeyWriter {
+    fn default() -> Self {
+        KeyWriter::new()
+    }
+}
+
+impl KeyWriter {
+    /// A writer with a hash key of its own; its keys compare with any
+    /// other key, but only a cache's own [`writer`](HistoryCache::writer)
+    /// seals keys that cache accepts.
+    pub fn new() -> Self {
+        KeyWriter {
+            buf: Vec::new(),
+            seed: KeySeed::fresh(),
+        }
+    }
+
+    /// Starts the key of a plain history over `threads` threads.
+    fn begin(&mut self, threads: usize) {
+        self.buf.clear();
+        self.buf.push(HEADER_HISTORY);
+        self.uint(threads as u64);
+    }
+
+    /// Starts the key of a monitoring window: a window's verdict depends
+    /// on the ADT kind and the carried state the oracle starts from as
+    /// much as on its events.
+    pub fn begin_window(&mut self, kind: AdtKind, threads: usize, carried: &[i64]) {
+        self.buf.clear();
+        self.buf.push(HEADER_WINDOW);
+        self.buf.push(kind as u8);
+        self.uint(threads as u64);
+        self.uint(carried.len() as u64);
+        for &v in carried {
+            self.int(v);
+        }
+    }
+
+    /// Appends a call event; the operation's index is its call's rank.
+    pub fn call(&mut self, thread: usize, name: &str, args: &[Value]) {
+        self.call_with(thread, name, args, &|_| None);
+    }
+
+    /// Appends the return event of operation `op`.
+    pub fn ret(&mut self, op: OpIndex, response: &Value) {
+        self.ret_with(op, response, &|_| None);
+    }
+
+    /// Finishes the key — marking it stuck if asked — and hashes it. The
+    /// writer is left empty; give the key back through
+    /// [`recycle`](KeyWriter::recycle) once it is no longer needed and the
+    /// next key reuses its buffer.
+    pub fn seal(&mut self, stuck: bool) -> HistoryKey {
+        if stuck {
+            self.buf.push(EVENT_STUCK);
+        }
+        let bytes = std::mem::take(&mut self.buf);
+        let mut hasher = self.seed.state.build_hasher();
+        hasher.write(&bytes);
+        HistoryKey {
+            bytes,
+            seed: self.seed.id,
+            hash: hasher.finish(),
+        }
+    }
+
+    /// Takes back the buffer of a key that was not moved into a cache.
+    pub fn recycle(&mut self, key: HistoryKey) {
+        if self.buf.is_empty() && self.buf.capacity() < key.bytes.capacity() {
+            self.buf = key.bytes;
+            self.buf.clear();
+        }
+    }
+
+    /// The key of a whole history as it stands.
+    pub fn history(&mut self, h: &History) -> HistoryKey {
+        self.history_with(h, |t| t, |_| None)
+    }
+
+    /// The key of `h` with every thread index sent through `thread` and
+    /// every value `rename` knows replaced (containers are searched
+    /// element-wise, like [`SymmetryGroups::canonicalize`]'s rewrite):
+    /// the key of the renamed history, without building it.
+    ///
+    /// [`SymmetryGroups::canonicalize`]: crate::SymmetryGroups::canonicalize
+    pub(crate) fn history_with<'v>(
+        &mut self,
+        h: &History,
+        thread: impl Fn(usize) -> usize,
+        rename: impl Fn(&Value) -> Option<&'v Value>,
+    ) -> HistoryKey {
+        self.begin(h.thread_count);
+        for ev in &h.events {
+            match *ev {
+                Event::Call(i) => {
+                    let op = &h.ops[i];
+                    let inv = &op.invocation;
+                    self.call_with(thread(op.thread), &inv.name, &inv.args, &rename);
+                }
+                Event::Return(i) => {
+                    let response = h.ops[i].response.as_ref().expect("returned op");
+                    self.ret_with(i, response, &rename);
+                }
+            }
+        }
+        self.seal(h.stuck)
+    }
+
+    fn call_with<'v>(
+        &mut self,
+        thread: usize,
+        name: &str,
+        args: &[Value],
+        rename: &impl Fn(&Value) -> Option<&'v Value>,
+    ) {
+        self.buf.push(EVENT_CALL);
+        self.uint(thread as u64);
+        self.str(name);
+        self.uint(args.len() as u64);
+        for arg in args {
+            self.value(arg, rename);
+        }
+    }
+
+    fn ret_with<'v>(
+        &mut self,
+        op: OpIndex,
+        response: &Value,
+        rename: &impl Fn(&Value) -> Option<&'v Value>,
+    ) {
+        self.buf.push(EVENT_RET);
+        self.uint(op as u64);
+        self.value(response, rename);
+    }
+
+    fn value<'v>(&mut self, v: &Value, rename: &impl Fn(&Value) -> Option<&'v Value>) {
+        let v = rename(v).unwrap_or(v);
+        match v {
+            Value::Unit => self.buf.push(VALUE_UNIT),
+            Value::Bool(false) => self.buf.push(VALUE_FALSE),
+            Value::Bool(true) => self.buf.push(VALUE_TRUE),
+            Value::Int(n) => {
+                self.buf.push(VALUE_INT);
+                self.int(*n);
+            }
+            Value::Str(s) => {
+                self.buf.push(VALUE_STR);
+                self.str(s);
+            }
+            Value::Fail => self.buf.push(VALUE_FAIL),
+            Value::Seq(items) => {
+                self.buf.push(VALUE_SEQ);
+                self.uint(items.len() as u64);
+                for item in items {
+                    self.value(item, rename);
+                }
+            }
+            Value::Opt(None) => self.buf.push(VALUE_NONE),
+            Value::Opt(Some(inner)) => {
+                self.buf.push(VALUE_SOME);
+                self.value(inner, rename);
+            }
+        }
+    }
+
+    fn str(&mut self, s: &str) {
+        self.uint(s.len() as u64);
+        self.buf.extend_from_slice(s.as_bytes());
+    }
+
+    fn uint(&mut self, mut n: u64) {
+        while n >= 0x80 {
+            self.buf.push(n as u8 | 0x80);
+            n >>= 7;
+        }
+        self.buf.push(n as u8);
+    }
+
+    fn int(&mut self, n: i64) {
+        self.uint(((n << 1) ^ (n >> 63)) as u64);
+    }
+}
+
+/// A sharded verdict cache keyed by [`HistoryKey`]: the one
+/// duplicate-history cache shared by phase-2 checking (`check`), the
+/// stress runner, and the monitoring server's shards.
+///
+/// Checker-side callers key it on the *canonical* form of each history
+/// ([`SymmetryGroups::key`](crate::SymmetryGroups::key)), so a cached
+/// verdict covers the history's whole symmetry class: phase 2 computes one
+/// monitor verdict per class instead of one per renaming. With empty
+/// symmetry groups the renaming is the identity and the cache degenerates
+/// to the raw duplicate-history cache the stress bin originally grew.
+///
+/// A key's bytes are hashed once, when the cache's
+/// [`writer`](HistoryCache::writer) seals it, under this cache's own
+/// random hash key; that one hash picks the shard (from its upper half)
+/// and the bucket within the shard's map (from its lower half, through a
+/// pass-through hasher). Sharded so parallel workers rarely contend on one
+/// mutex; single-threaded consumers simply use one shard. Hits (a lookup
 /// that found an entry) are counted across all shards for the
 /// `phase2_cache_hits` statistics.
 #[derive(Debug)]
 pub struct HistoryCache<V> {
-    shards: Vec<Mutex<HashMap<History, V>>>,
+    shards: Vec<Mutex<HashMap<HistoryKey, V, BuildHasherDefault<StoredHash>>>>,
+    seed: KeySeed,
     hits: AtomicU64,
 }
 
@@ -324,21 +637,38 @@ impl<V: Clone> HistoryCache<V> {
     pub fn new(shards: usize) -> Self {
         HistoryCache {
             shards: (0..shards.max(1))
-                .map(|_| Mutex::new(HashMap::new()))
+                .map(|_| Mutex::new(HashMap::default()))
                 .collect(),
+            seed: KeySeed::fresh(),
             hits: AtomicU64::new(0),
         }
     }
 
-    fn shard(&self, key: &History) -> &Mutex<HashMap<History, V>> {
-        let mut hasher = DefaultHasher::new();
-        key.hash(&mut hasher);
-        &self.shards[(hasher.finish() as usize) % self.shards.len()]
+    /// A writer whose sealed keys this cache accepts.
+    pub fn writer(&self) -> KeyWriter {
+        KeyWriter {
+            buf: Vec::new(),
+            seed: self.seed.clone(),
+        }
     }
 
-    /// Looks up a verdict by (canonical) history key, counting a hit when
-    /// one is found.
-    pub fn get(&self, key: &History) -> Option<V> {
+    /// The shard holding `key`. The map inside takes its bucket from the
+    /// hash's low bits and its 7-bit control tag from the top; the shard
+    /// index comes from the bits in between, so the keys of one shard
+    /// still spread over all of its buckets.
+    fn shard(
+        &self,
+        key: &HistoryKey,
+    ) -> &Mutex<HashMap<HistoryKey, V, BuildHasherDefault<StoredHash>>> {
+        assert_eq!(
+            key.seed, self.seed.id,
+            "key was not sealed by this cache's writer"
+        );
+        &self.shards[(key.hash >> 32) as usize % self.shards.len()]
+    }
+
+    /// Looks up a verdict by key, counting a hit when one is found.
+    pub fn get_key(&self, key: &HistoryKey) -> Option<V> {
         let found = self
             .shard(key)
             .lock()
@@ -354,24 +684,38 @@ impl<V: Clone> HistoryCache<V> {
     /// Inserts a verdict unless another consumer beat us to it; returns
     /// the verdict now in the cache and whether this call inserted it.
     /// The first-wins discipline keeps concurrent workers agreeing on one
-    /// verdict per class even if they raced to compute it.
-    pub fn insert_if_absent(&self, key: &History, verdict: V) -> (V, bool) {
-        let mut shard = self.shard(key).lock().unwrap_or_else(|e| e.into_inner());
-        match shard.get(key) {
-            Some(existing) => (existing.clone(), false),
-            None => {
-                shard.insert(key.clone(), verdict.clone());
+    /// verdict per class even if they raced to compute it. The key — the
+    /// one just probed with [`get_key`](HistoryCache::get_key) — moves in.
+    pub fn insert_key_if_absent(&self, mut key: HistoryKey, verdict: V) -> (V, bool) {
+        key.bytes.shrink_to_fit();
+        let mut shard = self.shard(&key).lock().unwrap_or_else(|e| e.into_inner());
+        match shard.entry(key) {
+            Entry::Occupied(existing) => (existing.get().clone(), false),
+            Entry::Vacant(slot) => {
+                slot.insert(verdict.clone());
                 (verdict, true)
             }
         }
     }
 
-    /// Total `get` hits so far.
+    /// [`get_key`](HistoryCache::get_key) on the key of `history` as it
+    /// stands.
+    pub fn get(&self, history: &History) -> Option<V> {
+        self.get_key(&self.writer().history(history))
+    }
+
+    /// [`insert_key_if_absent`](HistoryCache::insert_key_if_absent) on
+    /// the key of `history` as it stands.
+    pub fn insert_if_absent(&self, history: &History, verdict: V) -> (V, bool) {
+        self.insert_key_if_absent(self.writer().history(history), verdict)
+    }
+
+    /// Total lookup hits so far.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Number of distinct (canonical) histories cached.
+    /// Number of distinct keys cached.
     pub fn len(&self) -> usize {
         self.shards
             .iter()
@@ -631,6 +975,100 @@ mod tests {
         assert_eq!(cache.get(&h1), Some(10));
         assert_eq!(cache.get(&h2), Some(20));
         assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn history_key_separates_neighbouring_histories() {
+        // One complete operation per entry; every pair must key apart.
+        let variants: Vec<(Invocation, Option<Value>)> = vec![
+            (inv("ab"), Some(Value::Unit)),
+            (inv("ab"), None),
+            (inv("a"), Some(Value::Unit)),
+            (inv("ab"), Some(Value::Fail)),
+            (inv("ab"), Some(Value::Opt(None))),
+            (inv("ab"), Some(Value::Seq(vec![]))),
+            (inv("ab"), Some(Value::Str(String::new()))),
+            (inv("ab"), Some(Value::Int(1))),
+            (inv("ab"), Some(Value::Int(-1))),
+            (inv("ab"), Some(Value::some(Value::Int(1)))),
+            (inv("ab"), Some(Value::int_seq([1]))),
+            (Invocation::with_int("ab", 1), Some(Value::Unit)),
+            (
+                Invocation {
+                    name: "ab".into(),
+                    args: vec![Value::Int(1), Value::Int(2)],
+                },
+                Some(Value::Unit),
+            ),
+            (
+                Invocation {
+                    name: "ab".into(),
+                    args: vec![Value::int_seq([1, 2])],
+                },
+                Some(Value::Unit),
+            ),
+            (
+                Invocation {
+                    name: "a".into(),
+                    args: vec![Value::Str("b".into())],
+                },
+                Some(Value::Unit),
+            ),
+        ];
+        let mut histories = Vec::new();
+        for (invocation, response) in variants {
+            for (threads, stuck) in [(1, false), (1, true), (2, false)] {
+                let mut h = History::new(threads);
+                let op = h.push_call(0, invocation.clone());
+                if let Some(v) = &response {
+                    h.push_return(op, v.clone());
+                }
+                h.stuck = stuck;
+                histories.push(h);
+            }
+        }
+        for (i, a) in histories.iter().enumerate() {
+            for (j, b) in histories.iter().enumerate() {
+                assert_eq!(
+                    HistoryKey::of(a) == HistoryKey::of(b),
+                    i == j,
+                    "{a:?} vs {b:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn history_key_records_which_operation_returned() {
+        // Two overlapping calls with equal responses: only the order of
+        // the returns tells the histories apart.
+        let build = |first: usize| {
+            let mut h = History::new(2);
+            let ops = [h.push_call(0, inv("x")), h.push_call(1, inv("x"))];
+            h.push_return(ops[first], Value::Unit);
+            h.push_return(ops[1 - first], Value::Unit);
+            h
+        };
+        assert_ne!(build(0), build(1));
+        assert_ne!(HistoryKey::of(&build(0)), HistoryKey::of(&build(1)));
+    }
+
+    #[test]
+    fn recycled_buffer_does_not_leak_into_the_next_key() {
+        let cache: HistoryCache<bool> = HistoryCache::new(1);
+        let mut keys = cache.writer();
+        let long = keys.history(&fig2_history());
+        keys.recycle(long);
+        let mut h = History::new(1);
+        h.push_call(0, inv("x"));
+        assert_eq!(keys.history(&h), HistoryKey::of(&h));
+    }
+
+    #[test]
+    #[should_panic(expected = "not sealed by this cache's writer")]
+    fn cache_rejects_a_key_hashed_for_another_cache() {
+        let cache: HistoryCache<bool> = HistoryCache::new(1);
+        cache.get_key(&HistoryKey::of(&fig2_history()));
     }
 
     #[test]

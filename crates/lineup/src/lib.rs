@@ -75,7 +75,7 @@ pub use check::{
 };
 pub use erased::ErasedTarget;
 pub use harness::{explore_matrix, explore_matrix_with_strategy, replay_matrix, MatrixRun};
-pub use history::{Event, History, HistoryCache, OpIndex, Operation};
+pub use history::{Event, History, HistoryCache, HistoryKey, KeyWriter, OpIndex, Operation};
 pub use lineup_sched::Backend;
 pub use matrix::{SymmetryGroups, TestMatrix};
 pub use observation::{parse_observation_file, write_observation_file};

@@ -3,7 +3,7 @@
 //! columns), which drives both schedule pruning in phase 2 exploration
 //! and canonical history deduplication in phase 2 checking.
 
-use crate::history::{Event, History};
+use crate::history::{Event, History, HistoryKey, KeyWriter};
 use crate::target::{Invocation, SymmetryPolicy};
 use crate::value::Value;
 use std::collections::HashMap;
@@ -168,7 +168,7 @@ impl TestMatrix {
 /// (`lineup_sched::Config::with_symmetry`): among never-started threads of
 /// one group only the lowest-indexed may be scheduled first, because the
 /// skipped orders produce renamings of explored histories.
-/// [`SymmetryGroups::canonicalize`] keys phase-2 verdict caching: renaming
+/// [`SymmetryGroups::key`] keys phase-2 verdict caching: renaming
 /// a history's group threads into first-appearance order (and their
 /// distinguished argument values along with them) maps every member of a
 /// symmetry class to the same canonical history, so one monitor verdict
@@ -229,12 +229,57 @@ impl SymmetryGroups {
     /// order); it does real work on histories from preemption-bounded or
     /// sampled explorations, where pruning is disengaged.
     pub fn canonicalize(&self, h: &History) -> History {
-        if self.groups.is_empty() {
-            return h.clone();
+        let Some((perm, vmap)) = self.renaming(h) else {
+            return h.clone(); // already canonical; skip the rebuild
+        };
+        let mut out = History::new(h.thread_count);
+        out.stuck = h.stuck;
+        for ev in &h.events {
+            match *ev {
+                Event::Call(i) => {
+                    let op = &h.ops[i];
+                    let invocation = Invocation {
+                        name: op.invocation.name.clone(),
+                        args: op
+                            .invocation
+                            .args
+                            .iter()
+                            .map(|a| map_value(a, &vmap))
+                            .collect(),
+                    };
+                    let new = out.push_call(perm[op.thread], invocation);
+                    debug_assert_eq!(new, i, "events preserve op numbering");
+                }
+                Event::Return(i) => {
+                    let resp = h.ops[i].response.as_ref().expect("returned op");
+                    out.push_return(i, map_value(resp, &vmap));
+                }
+            }
         }
-        // Thread permutation: per group, the members in order of first
-        // appearance (never-appearing members last, in index order) are
-        // mapped onto the members in index order.
+        out
+    }
+
+    /// The verdict-cache key of `h`'s canonical form — equal to
+    /// `HistoryKey::of(&self.canonicalize(h))` — written straight from
+    /// `h` under the renaming, so no second history is built per run.
+    /// [`canonicalize`](SymmetryGroups::canonicalize) remains the readable
+    /// form, for violation evidence.
+    pub fn key(&self, h: &History, writer: &mut KeyWriter) -> HistoryKey {
+        match self.renaming(h) {
+            None => writer.history(h),
+            Some((perm, vmap)) => writer.history_with(h, |t| perm[t], |v| vmap.get(v)),
+        }
+    }
+
+    /// The renaming that canonicalizes `h`, or `None` when it is the
+    /// identity. Thread permutation: per group, the members in order of
+    /// first appearance (never-appearing members last, in index order) are
+    /// mapped onto the members in index order; each moved member's
+    /// distinguished argument values move with it.
+    fn renaming(&self, h: &History) -> Option<(Vec<usize>, HashMap<Value, Value>)> {
+        if self.groups.is_empty() {
+            return None;
+        }
         let mut perm: Vec<usize> = (0..h.thread_count).collect();
         let mut vmap: HashMap<Value, Value> = HashMap::new();
         let mut appeared: Vec<usize> = Vec::new();
@@ -268,34 +313,8 @@ impl SymmetryGroups {
                 }
             }
         }
-        if perm.iter().enumerate().all(|(i, &p)| i == p) {
-            return h.clone(); // already canonical; skip the rebuild
-        }
-        let mut out = History::new(h.thread_count);
-        out.stuck = h.stuck;
-        for ev in &h.events {
-            match *ev {
-                Event::Call(i) => {
-                    let op = &h.ops[i];
-                    let invocation = Invocation {
-                        name: op.invocation.name.clone(),
-                        args: op
-                            .invocation
-                            .args
-                            .iter()
-                            .map(|a| map_value(a, &vmap))
-                            .collect(),
-                    };
-                    let new = out.push_call(perm[op.thread], invocation);
-                    debug_assert_eq!(new, i, "events preserve op numbering");
-                }
-                Event::Return(i) => {
-                    let resp = h.ops[i].response.as_ref().expect("returned op");
-                    out.push_return(i, map_value(resp, &vmap));
-                }
-            }
-        }
-        out
+        let moved = perm.iter().enumerate().any(|(i, &p)| i != p);
+        moved.then_some((perm, vmap))
     }
 }
 
@@ -676,6 +695,7 @@ mod tests {
         assert_eq!(g.canonicalize(&mirror), mirror);
         // …and both members of the class share one canonical form.
         assert_eq!(canon, mirror);
+        assert_eq!(g.key(&h, &mut KeyWriter::new()), HistoryKey::of(&canon));
     }
 
     #[test]
@@ -703,6 +723,7 @@ mod tests {
             Some(Value::Opt(Some(Box::new(Value::Int(10))))),
             "payloads rename inside container responses"
         );
+        assert_eq!(g.key(&h, &mut KeyWriter::new()), HistoryKey::of(&canon));
         // The canonical form equals the renamed execution's own history.
         let mut mirror = History::new(3);
         let a = mirror.push_call(0, int("Enqueue", 10));
@@ -728,6 +749,8 @@ mod tests {
             "the only appearing member is renamed down"
         );
         assert!(!canon.ops[0].is_complete());
+        assert_eq!(g.key(&h, &mut KeyWriter::new()), HistoryKey::of(&canon));
+        assert_ne!(HistoryKey::of(&canon), HistoryKey::of(&h));
     }
 
     #[test]

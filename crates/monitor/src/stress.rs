@@ -268,6 +268,7 @@ where
         SymmetryGroups::default()
     };
     let verdicts: HistoryCache<bool> = HistoryCache::new(1);
+    let mut keys = verdicts.writer();
     let mut report = StressReport {
         runs: 0,
         ops: 0,
@@ -293,12 +294,11 @@ where
         }
 
         // Check each distinct (canonical) history once.
-        let key = groups.canonicalize(&history);
-        let known = verdicts.get(&key).is_some();
-        if known {
+        let key = groups.key(&history, &mut keys);
+        if verdicts.get_key(&key).is_some() {
             report.history_cache_hits += 1;
-        }
-        if !known {
+            keys.recycle(key);
+        } else {
             report.distinct_histories += 1;
             let t0 = Instant::now();
             let ok = if history.is_complete() {
@@ -334,7 +334,7 @@ where
                 ok
             };
             report.monitor_wall += t0.elapsed();
-            verdicts.insert_if_absent(&key, ok);
+            verdicts.insert_key_if_absent(key, ok);
             if !ok && options.stop_at_first_violation {
                 break;
             }

@@ -2181,6 +2181,22 @@ mod tests {
         }
     }
 
+    /// Joins `handle`, failing the test — instead of hanging it — when the
+    /// thread is still running at the deadline.
+    fn join_within<T>(handle: JoinHandle<T>, deadline: Duration) -> T {
+        let start = std::time::Instant::now();
+        while !handle.is_finished() {
+            assert!(
+                start.elapsed() < deadline,
+                "thread still running after {deadline:?}"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        handle.join().expect("thread panicked")
+    }
+
+    const JOIN_DEADLINE: Duration = Duration::from_secs(30);
+
     /// A poisoned pool releases a worker parked waiting for work instead
     /// of leaving it waiting forever (the shutdown-hardening regression).
     #[test]
@@ -2193,10 +2209,14 @@ mod tests {
             // Worker 1 parks: the queue is empty but worker 0 is active.
             move || pool.claim(1)
         });
-        // Give the peer a moment to actually park, then poison.
+        // Give the peer a moment to actually park, then poison. (Poison
+        // landing first is fine too: the claim then returns at once.)
         std::thread::sleep(Duration::from_millis(5));
         pool.poison();
-        assert!(parked.join().unwrap().is_none(), "poison unparks the peer");
+        assert!(
+            join_within(parked, JOIN_DEADLINE).is_none(),
+            "poison unparks the peer"
+        );
     }
 
     /// A worker panicking mid-exploration poisons the pool on the way
@@ -2204,20 +2224,35 @@ mod tests {
     #[test]
     fn panicking_worker_poisons_instead_of_deadlocking() {
         let pool = Arc::new(StealPool::new(2));
-        std::thread::scope(|scope| {
-            let crasher = scope.spawn(|| {
+        // The crasher must hold the root before the peer exists: a peer
+        // that won the root would be handed work, and the crasher would
+        // park behind it forever.
+        let (claimed, root_claimed) = std::sync::mpsc::channel();
+        let crasher = std::thread::spawn({
+            let pool = Arc::clone(&pool);
+            move || {
                 let result = catch_unwind(AssertUnwindSafe(|| {
                     let _task = pool.claim(0).expect("root task");
+                    claimed.send(()).expect("test thread is waiting");
                     panic!("worker crashed mid-steal");
                 }));
                 if result.is_err() {
                     pool.poison();
                 }
-            });
-            let peer = scope.spawn(|| pool.claim(1));
-            assert!(peer.join().unwrap().is_none(), "peer exits, not deadlocks");
-            crasher.join().unwrap();
+            }
         });
+        root_claimed
+            .recv_timeout(JOIN_DEADLINE)
+            .expect("crasher claims the root");
+        let peer = std::thread::spawn({
+            let pool = Arc::clone(&pool);
+            move || pool.claim(1)
+        });
+        assert!(
+            join_within(peer, JOIN_DEADLINE).is_none(),
+            "peer exits, not deadlocks"
+        );
+        join_within(crasher, JOIN_DEADLINE);
     }
 
     /// LexCancel keeps the lexicographically least violation and skips

@@ -157,19 +157,18 @@ impl Engine {
         }
     }
 
-    fn cached_shard(
+    /// The shard for `object`, borrowed from the caller's demux slot
+    /// (refilled from the registry when it holds another object), so the
+    /// common same-object record touches no reference count.
+    fn cached_shard<'a>(
         &self,
         object: u64,
-        cache: &mut Option<(u64, Arc<Mutex<Shard>>)>,
-    ) -> Option<Arc<Mutex<Shard>>> {
-        if let Some((cached, shard)) = cache {
-            if *cached == object {
-                return Some(Arc::clone(shard));
-            }
+        cache: &'a mut Option<(u64, Arc<Mutex<Shard>>)>,
+    ) -> Option<&'a Mutex<Shard>> {
+        if !matches!(cache, Some((cached, _)) if *cached == object) {
+            *cache = Some((object, self.shard(object)?));
         }
-        let shard = self.shard(object)?;
-        *cache = Some((object, Arc::clone(&shard)));
-        Some(shard)
+        cache.as_ref().map(|(_, shard)| &**shard)
     }
 
     fn note_shard_result(&self, result: Result<(), ShardError>) {

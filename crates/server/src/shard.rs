@@ -44,7 +44,7 @@ use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
 
-use lineup::{AdtKind, Event, History, HistoryCache, Invocation, MonitorPathStats, Value};
+use lineup::{AdtKind, History, HistoryCache, Invocation, KeyWriter, MonitorPathStats, Value};
 use lineup_monitor::{ideal_oracle_from, state_invocations, Monitor};
 
 /// Tuning knobs for a [`Shard`].
@@ -178,9 +178,12 @@ pub struct Shard {
     carried: Vec<i64>,
     violated: bool,
     done: bool,
-    /// Shared cross-object verdict cache: identical windows over
-    /// identical carried state re-use each other's monitor verdict.
-    cache: Option<Arc<HistoryCache<bool>>>,
+    /// Shared cross-object verdict cache — identical windows over
+    /// identical carried state re-use each other's monitor verdict — and
+    /// the open window's key, appended to as events arrive. `None` when
+    /// no window of this shard will be checked again: no cache attached,
+    /// no ADT kind, or a violation already flagged.
+    verdicts: Option<(Arc<HistoryCache<bool>>, KeyWriter)>,
     /// Counters for this object (current generation).
     pub counters: ShardCounters,
 }
@@ -200,7 +203,7 @@ impl Shard {
             carried: Vec::new(),
             violated: false,
             done: false,
-            cache: None,
+            verdicts: None,
             counters: ShardCounters::default(),
         }
     }
@@ -209,7 +212,11 @@ impl Shard {
     /// state, events, stuck flag) match a previously checked window —
     /// on this object or any other — are resolved without monitor work.
     pub fn with_verdict_cache(mut self, cache: Arc<HistoryCache<bool>>) -> Self {
-        self.cache = Some(cache);
+        if let Some(kind) = self.kind {
+            let mut key = cache.writer();
+            key.begin_window(kind, self.threads, &self.carried);
+            self.verdicts = Some((cache, key));
+        }
         self
     }
 
@@ -245,6 +252,9 @@ impl Shard {
         if self.open[t].is_some() {
             return Err(ShardError::DoubleCall(thread));
         }
+        if let Some((_, key)) = &mut self.verdicts {
+            key.call(t, name, &args);
+        }
         let inv = Invocation {
             name: name.to_string(),
             args,
@@ -268,6 +278,9 @@ impl Shard {
         let op = self.open[t]
             .take()
             .ok_or(ShardError::ReturnWithoutCall(thread))?;
+        if let Some((_, key)) = &mut self.verdicts {
+            key.ret(op, &value);
+        }
         self.history.push_return(op, value);
         self.pending -= 1;
         self.completed += 1;
@@ -300,6 +313,7 @@ impl Shard {
         self.pending = 0;
         self.completed = 0;
         self.carried = Vec::new();
+        self.verdicts = None;
     }
 
     /// Closes the current window if allowed. `at_end` forces the check
@@ -327,8 +341,7 @@ impl Shard {
         let ok = self.check_window(kind);
         self.counters.windows_closed += 1;
         if !ok {
-            self.violated = true;
-            self.counters.violations += 1;
+            self.flag_violation();
         }
         if !at_end {
             if let (true, Some(state)) = (ok, next_state) {
@@ -352,32 +365,31 @@ impl Shard {
                 return;
             }
         };
-        let cached = self.cache.clone().map(|c| (c, self.window_key(kind)));
-        let ok = if let Some(verdict) = cached.as_ref().and_then(|(cache, key)| cache.get(key)) {
-            self.counters.verdict_cache_hits += 1;
-            verdict
-        } else {
-            let monitor = self.window_monitor(kind);
+        let ok = self.cached_verdict(|shard| {
+            let monitor = shard.window_monitor(kind);
             let mut ok = true;
-            for e in self.history.pending_ops() {
-                self.counters.checks += 1;
-                self.counters.stuck_checks += 1;
-                if !monitor.check_stuck(&self.history, e, &[]) {
+            for e in shard.history.pending_ops() {
+                shard.counters.checks += 1;
+                shard.counters.stuck_checks += 1;
+                if !monitor.check_stuck(&shard.history, e, &[]) {
                     ok = false;
                     break;
                 }
             }
-            self.absorb_monitor_stats(&monitor);
-            if let Some((cache, key)) = &cached {
-                cache.insert_if_absent(key, ok);
-            }
+            shard.absorb_monitor_stats(&monitor);
             ok
-        };
+        });
         self.counters.windows_closed += 1;
         if !ok {
-            self.violated = true;
-            self.counters.violations += 1;
+            self.flag_violation();
         }
+    }
+
+    fn flag_violation(&mut self) {
+        self.violated = true;
+        self.counters.violations += 1;
+        // Later windows are retired unchecked: stop keying them.
+        self.verdicts = None;
     }
 
     fn window_monitor(
@@ -390,56 +402,35 @@ impl Shard {
     }
 
     fn check_window(&mut self, kind: AdtKind) -> bool {
-        let cached = self.cache.clone().map(|c| (c, self.window_key(kind)));
-        if let Some(verdict) = cached.as_ref().and_then(|(cache, key)| cache.get(key)) {
+        self.cached_verdict(|shard| {
+            let monitor = shard.window_monitor(kind);
+            shard.counters.checks += 1;
+            let ok = monitor.check_full(&shard.history, &[]);
+            shard.absorb_monitor_stats(&monitor);
+            ok
+        })
+    }
+
+    /// The open window's verdict: from the shared cache when its key is
+    /// there, else from `check`, whose verdict is then cached. The key —
+    /// header (kind, thread count, carried state) written when the window
+    /// opened, one entry per event since, the stuck flag now — is sealed
+    /// here, probed once, and on a miss moved into the cache.
+    fn cached_verdict(&mut self, check: impl FnOnce(&mut Self) -> bool) -> bool {
+        let Some((cache, writer)) = &mut self.verdicts else {
+            return check(self);
+        };
+        let key = writer.seal(self.history.stuck);
+        if let Some(verdict) = cache.get_key(&key) {
+            writer.recycle(key);
             self.counters.verdict_cache_hits += 1;
             return verdict;
         }
-        let monitor = self.window_monitor(kind);
-        self.counters.checks += 1;
-        let ok = monitor.check_full(&self.history, &[]);
-        self.absorb_monitor_stats(&monitor);
-        if let Some((cache, key)) = &cached {
-            cache.insert_if_absent(key, ok);
+        let ok = check(self);
+        if let Some((cache, _)) = &self.verdicts {
+            cache.insert_key_if_absent(key, ok);
         }
         ok
-    }
-
-    /// Cache key for the current window: a window verdict depends on
-    /// the ADT kind, the carried state the oracle starts from, the
-    /// window's event sequence, and the stuck flag — so all four are
-    /// folded into one synthetic [`History`]. An extra pseudo-thread
-    /// runs a single completed `__window/<kind>` operation carrying the
-    /// carried-state values as arguments, followed by a replay of the
-    /// real events (op indices shift by one).
-    fn window_key(&self, kind: AdtKind) -> History {
-        let mut key = History::new(self.threads + 1);
-        let marker = key.push_call(
-            self.threads,
-            Invocation {
-                name: format!("__window/{kind:?}"),
-                args: self.carried.iter().map(|&v| Value::Int(v)).collect(),
-            },
-        );
-        key.push_return(marker, Value::Unit);
-        for ev in &self.history.events {
-            match *ev {
-                Event::Call(i) => {
-                    let op = &self.history.ops[i];
-                    let idx = key.push_call(op.thread, op.invocation.clone());
-                    debug_assert_eq!(idx, i + 1);
-                }
-                Event::Return(i) => {
-                    let resp = self.history.ops[i]
-                        .response
-                        .clone()
-                        .expect("returned op has a response");
-                    key.push_return(i + 1, resp);
-                }
-            }
-        }
-        key.stuck = self.history.stuck;
-        key
     }
 
     fn absorb_monitor_stats(
@@ -472,6 +463,9 @@ impl Shard {
         self.history = History::new(self.threads);
         self.completed = 0;
         // pending == 0 at every close point, so `open` is already clear.
+        if let (Some(kind), Some((_, key))) = (self.kind, &mut self.verdicts) {
+            key.begin_window(kind, self.threads, &self.carried);
+        }
     }
 
     /// The unique end state of the current (complete) window, or `None`
@@ -577,16 +571,24 @@ impl Shard {
             }
         }
         let initial: HashSet<i64> = self.carried.iter().copied().collect();
-        let mut state: Vec<i64> = self.carried.clone();
+        let mut added: Vec<i64> = Vec::new();
+        let mut removed: HashSet<i64> = HashSet::new();
         for (key, flips) in toggles {
-            let before = initial.contains(&key);
-            let after = before ^ (flips % 2 == 1);
-            if after && !before {
-                state.push(key);
-            } else if !after && before {
-                state.retain(|&v| v != key);
+            if flips % 2 == 1 {
+                if initial.contains(&key) {
+                    removed.insert(key);
+                } else {
+                    added.push(key);
+                }
             }
         }
+        let mut state: Vec<i64> = self
+            .carried
+            .iter()
+            .copied()
+            .filter(|v| !removed.contains(v))
+            .chain(added)
+            .collect();
         state.sort_unstable();
         Some(state)
     }
@@ -868,6 +870,122 @@ mod tests {
         );
         bad.end(false);
         assert!(bad.violated(), "cache key collided across carried states");
+    }
+
+    /// Streams `h` into a fresh cached shard and ends it; returns the
+    /// shard's counters.
+    fn replay(
+        cache: &Arc<HistoryCache<bool>>,
+        kind: AdtKind,
+        threads: u32,
+        window_target: usize,
+        h: &History,
+        stuck: bool,
+    ) -> ShardCounters {
+        let mut shard = Shard::new(Some(kind), threads, &ShardConfig { window_target })
+            .with_verdict_cache(Arc::clone(cache));
+        feed(&mut shard, h);
+        shard.end(stuck);
+        shard.counters.clone()
+    }
+
+    #[test]
+    fn window_key_separates_kind_threads_carried_state_and_stuck_flag() {
+        let cache = Arc::new(HistoryCache::new(2));
+        // The same two events under every header: an insert-shaped call
+        // whose name no kind knows, so each window is one (failing) check.
+        let mut h = History::new(1);
+        let op = h.push_call(0, Invocation::with_int("Put", 1));
+        h.push_return(op, Value::Unit);
+        let first = replay(&cache, AdtKind::Queue, 1, 8, &h, false);
+        assert_eq!((first.checks, first.verdict_cache_hits), (1, 0));
+        for (kind, threads) in [(AdtKind::Stack, 1), (AdtKind::Queue, 2)] {
+            let c = replay(&cache, kind, threads, 8, &h, false);
+            assert_eq!(
+                (c.checks, c.verdict_cache_hits),
+                (1, 0),
+                "{kind} x{threads}"
+            );
+        }
+        // Carried state: the second window of this stream has the same
+        // events as its first, over a queue that now holds one element.
+        let twice = serial_history(&[("Enqueue", 1, Value::Unit), ("Enqueue", 1, Value::Unit)]);
+        let c = replay(&cache, AdtKind::Queue, 1, 1, &twice, false);
+        assert_eq!(
+            (c.windows_closed, c.checks, c.verdict_cache_hits),
+            (2, 2, 0)
+        );
+        // Stuck flag: one pending call, ended stuck vs ended complete.
+        let mut tail = History::new(1);
+        let op = tail.push_call(0, Invocation::with_int("Enqueue", 2));
+        let stuck = replay(&cache, AdtKind::Queue, 1, 8, &tail, true);
+        assert_eq!((stuck.stuck_checks, stuck.verdict_cache_hits), (1, 0));
+        tail.push_return(op, Value::Unit);
+        let complete = replay(&cache, AdtKind::Queue, 1, 8, &tail, false);
+        assert_eq!((complete.checks, complete.verdict_cache_hits), (1, 0));
+        // Every replay above hits on an exact repeat.
+        assert_eq!(replay(&cache, AdtKind::Queue, 1, 8, &h, false).checks, 0);
+        assert_eq!(
+            replay(&cache, AdtKind::Queue, 1, 1, &twice, false).checks,
+            0
+        );
+        let mut tail = History::new(1);
+        tail.push_call(0, Invocation::with_int("Enqueue", 2));
+        let again = replay(&cache, AdtKind::Queue, 1, 8, &tail, true);
+        assert_eq!((again.checks, again.verdict_cache_hits), (0, 1));
+    }
+
+    #[test]
+    fn held_window_key_keeps_growing_and_hits_on_replay() {
+        // Duplicate values hold the window open past three quiescent
+        // points; the one check at the end covers all four operations.
+        let cache = Arc::new(HistoryCache::new(1));
+        let held = serial_history(&[
+            ("Push", 5, Value::Unit),
+            ("Push", 5, Value::Unit),
+            ("TryPop", 0, Value::some(Value::int(5))),
+            ("Push", 5, Value::Unit),
+        ]);
+        let first = replay(&cache, AdtKind::Stack, 1, 2, &held, false);
+        assert!(first.windows_held > 0);
+        assert_eq!((first.windows_closed, first.checks), (1, 1));
+        let second = replay(&cache, AdtKind::Stack, 1, 2, &held, false);
+        assert_eq!(second.windows_held, first.windows_held);
+        assert_eq!((second.checks, second.verdict_cache_hits), (0, 1));
+        // A stream that agrees up to the first hold and then differs must
+        // not ride on the held prefix.
+        let other = serial_history(&[
+            ("Push", 5, Value::Unit),
+            ("Push", 5, Value::Unit),
+            ("TryPop", 0, Value::some(Value::int(5))),
+            ("Push", 6, Value::Unit),
+        ]);
+        let third = replay(&cache, AdtKind::Stack, 1, 2, &other, false);
+        assert_eq!(third.verdict_cache_hits, 0);
+    }
+
+    #[test]
+    fn set_end_state_drops_every_removed_key_and_stays_sorted() {
+        let mut shard = Shard::new(Some(AdtKind::Set), 1, &ShardConfig { window_target: 6 });
+        let mut script: Vec<(&str, i64, Value)> = [9, 3, 7, 1, 5]
+            .iter()
+            .map(|&k| ("TryAdd", k, Value::Bool(true)))
+            .collect();
+        script.push(("TryAdd", 3, Value::Bool(false)));
+        feed(&mut shard, &serial_history(&script));
+        assert_eq!(shard.carried, vec![1, 3, 5, 7, 9]);
+        let script = [
+            ("TryRemove", 7, Value::some(Value::int(7))),
+            ("TryRemove", 1, Value::some(Value::int(1))),
+            ("TryAdd", 4, Value::Bool(true)),
+            ("TryRemove", 2, Value::Fail),
+            ("TryAdd", 7, Value::Bool(true)),
+            ("TryRemove", 7, Value::some(Value::int(7))),
+        ];
+        feed(&mut shard, &serial_history(&script));
+        assert_eq!(shard.carried, vec![3, 4, 5, 9]);
+        shard.end(false);
+        assert!(!shard.violated());
     }
 
     #[test]

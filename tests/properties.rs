@@ -6,9 +6,10 @@ use proptest::prelude::*;
 
 use lineup::doc_support::CounterTarget;
 use lineup::{
-    check, find_witness, is_witness, CheckOptions, History, Invocation, ObservationSet, Outcome,
-    SerialHistory, SpecOp, TestMatrix, Value, WitnessQuery,
+    check, find_witness, is_witness, CheckOptions, Event, History, HistoryKey, Invocation,
+    KeyWriter, ObservationSet, Outcome, SerialHistory, SpecOp, TestMatrix, Value, WitnessQuery,
 };
+use lineup_collections::registry::all_classes;
 
 // ---------------------------------------------------------------------
 // Strategies
@@ -77,6 +78,130 @@ fn overlap(serial: &SerialHistory, overlaps: &[bool]) -> History {
             i += 1;
         }
     }
+    h
+}
+
+/// One step of a generated history: (thread selector, op-name index,
+/// arguments, response). A step whose thread has an open call returns
+/// it; otherwise it calls. Calls left open at the end are the pending
+/// tail.
+type Step = (usize, usize, Vec<Value>, Value);
+
+fn step_strategy() -> impl Strategy<Value = Step> {
+    (
+        0usize..4,
+        0usize..3,
+        prop::collection::vec(value_strategy(), 0..3),
+        value_strategy(),
+    )
+}
+
+/// A well-formed history over 1–4 threads with empty-to-nested argument
+/// lists, a possibly pending tail and an arbitrary stuck flag.
+fn history_strategy() -> impl Strategy<Value = History> {
+    (
+        1usize..5,
+        prop::collection::vec(step_strategy(), 0..12),
+        any::<bool>(),
+    )
+        .prop_map(|(threads, steps, stuck)| {
+            let mut h = History::new(threads);
+            let mut open: Vec<Option<usize>> = vec![None; threads];
+            for (sel, name, args, response) in steps {
+                let t = sel % threads;
+                match open[t].take() {
+                    Some(op) => h.push_return(op, response),
+                    None => {
+                        let invocation = Invocation {
+                            name: ["Put", "Pu", "TryTake"][name].to_string(),
+                            args,
+                        };
+                        open[t] = Some(h.push_call(t, invocation));
+                    }
+                }
+            }
+            h.stuck = stuck;
+            h
+        })
+}
+
+/// A near neighbour of `h`: one small edit chosen by `edit`, aimed at `at`.
+/// Some edits are no-ops on some histories; the property below holds
+/// either way.
+fn neighbour(h: &History, edit: usize, at: usize) -> History {
+    let mut n = h.clone();
+    let at = at % n.ops.len().max(1);
+    match (edit, n.ops.get_mut(at)) {
+        (0, _) => {}
+        (1, _) => n.stuck = !n.stuck,
+        (2, _) => n.thread_count += 1,
+        (3, Some(op)) => op.invocation.name.push('t'),
+        (4, Some(op)) => op.thread = (op.thread + 1) % n.thread_count,
+        (5, Some(op)) => {
+            if let Some(v) = op.response.take() {
+                op.response = Some(Value::Seq(vec![v]));
+            }
+        }
+        (6, Some(op)) => {
+            // Same leaves, different grouping.
+            op.invocation.args = vec![Value::Seq(std::mem::take(&mut op.invocation.args))];
+        }
+        (7, Some(op)) => {
+            // The last argument moves into the name's place in the bytes.
+            if let Some(Value::Str(s)) = op.invocation.args.pop() {
+                op.invocation.name.push_str(&s);
+            }
+        }
+        _ => match n.events.pop() {
+            Some(Event::Call(_)) => {
+                n.ops.pop();
+            }
+            Some(Event::Return(i)) => {
+                n.ops[i].response = None;
+                n.ops[i].return_pos = None;
+            }
+            None => {}
+        },
+    }
+    n
+}
+
+/// A history of `matrix`'s columns: `picks` interleaves the threads
+/// (call, then return, each column in order) and chooses responses that
+/// surface the matrix's own argument values bare and inside containers,
+/// so a symmetry renaming has values to rewrite wherever they appear.
+fn matrix_history(matrix: &TestMatrix, picks: &[(usize, usize)], stuck: bool) -> History {
+    let threads = matrix.columns.len();
+    let pool: Vec<Value> = matrix
+        .columns
+        .iter()
+        .flatten()
+        .flat_map(|inv| inv.args.iter().cloned())
+        .collect();
+    let pooled = |r: usize| {
+        pool.get(r % pool.len().max(1))
+            .cloned()
+            .unwrap_or(Value::Fail)
+    };
+    let mut h = History::new(threads);
+    let mut next = vec![0usize; threads];
+    let mut open: Vec<Option<usize>> = vec![None; threads];
+    for &(sel, r) in picks {
+        let t = sel % threads;
+        if let Some(op) = open[t].take() {
+            let response = match r % 4 {
+                0 => Value::Unit,
+                1 => pooled(r / 4),
+                2 => Value::some(pooled(r / 4)),
+                _ => Value::Seq(vec![pooled(r / 4), Value::some(pooled(r / 4 + 1))]),
+            };
+            h.push_return(op, response);
+        } else if let Some(inv) = matrix.columns[t].get(next[t]) {
+            next[t] += 1;
+            open[t] = Some(h.push_call(t, inv.clone()));
+        }
+    }
+    h.stuck = stuck;
     h
 }
 
@@ -272,6 +397,75 @@ proptest! {
         let q = WitnessQuery::for_full(&h);
         prop_assert!(find_witness(&spec.index(), &q).is_none());
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The verdict-cache key is exact: two histories share a key iff they
+    /// are equal — for unrelated histories and for near neighbours one
+    /// edit apart (the cases a sloppy encoding would merge).
+    #[test]
+    fn history_key_is_equal_iff_the_histories_are(
+        a in history_strategy(),
+        b in history_strategy(),
+        edit in 0usize..9,
+        at in 0usize..12,
+    ) {
+        prop_assert_eq!(HistoryKey::of(&a) == HistoryKey::of(&b), a == b);
+        let n = neighbour(&a, edit, at);
+        prop_assert_eq!(
+            HistoryKey::of(&a) == HistoryKey::of(&n),
+            a == n,
+            "edit {} at {}:\n{:?}\nvs\n{:?}", edit, at, a, n
+        );
+        // A reused writer yields the same key as a fresh one.
+        let mut writer = KeyWriter::new();
+        writer.recycle(HistoryKey::of(&b));
+        prop_assert_eq!(writer.history(&a), HistoryKey::of(&a));
+    }
+
+    /// Keying under a symmetry renaming equals keying the canonicalized
+    /// history, for the symmetry groups of every registry class's
+    /// regression matrices and histories of those matrices' own columns.
+    #[test]
+    fn symmetry_key_is_the_key_of_the_canonical_history(
+        picks in prop::collection::vec((0usize..8, 0usize..64), 0..24),
+        stuck in any::<bool>(),
+    ) {
+        let mut writer = KeyWriter::new();
+        for entry in all_classes() {
+            for matrix in entry.regression_matrices() {
+                let groups = matrix.symmetry_groups(entry.symmetry_policy());
+                let h = matrix_history(&matrix, &picks, stuck);
+                let canonical = groups.canonicalize(&h);
+                prop_assert_eq!(
+                    groups.key(&h, &mut writer),
+                    HistoryKey::of(&canonical),
+                    "{}:\n{:?}", entry.name, h
+                );
+                // Canonical forms are fixed points, and so are their keys.
+                prop_assert_eq!(groups.key(&canonical, &mut writer), HistoryKey::of(&canonical));
+            }
+        }
+    }
+}
+
+/// The property above is not vacuous: some registry matrix has symmetric
+/// columns, and a history that starts its later member first is renamed.
+#[test]
+fn registry_matrices_exercise_a_nontrivial_renaming() {
+    let renamed = all_classes().iter().any(|entry| {
+        entry.regression_matrices().iter().any(|matrix| {
+            let groups = matrix.symmetry_groups(entry.symmetry_policy());
+            // Threads call in descending index order.
+            let picks: Vec<(usize, usize)> =
+                (0..matrix.columns.len()).rev().map(|t| (t, 1)).collect();
+            let h = matrix_history(matrix, &picks, false);
+            groups.canonicalize(&h) != h
+        })
+    });
+    assert!(renamed);
 }
 
 proptest! {

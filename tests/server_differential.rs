@@ -211,16 +211,26 @@ fn multi_client_tcp_smoke_with_shutdown() {
         clients.push(std::thread::spawn(move || {
             let mut out = Vec::new();
             encode_record(&Record::Hello { version: VERSION }, &mut out);
+            // Object ids are one namespace across connections: each
+            // client streams under ids of its own, or one client's
+            // `ObjectEnd` could retire another's live object.
+            let object = 10 * (i as u64 + 1);
             append_history(
                 &mut out,
-                1,
+                object,
                 kind,
                 &unambiguous_history(kind, 60, i as u64 + 1),
                 false,
             );
             if i == 0 {
                 // One client also streams a known-violating object.
-                append_history(&mut out, 2, kind, &violating_history(kind, 60, 99), false);
+                append_history(
+                    &mut out,
+                    object + 1,
+                    kind,
+                    &violating_history(kind, 60, 99),
+                    false,
+                );
             }
             let mut stream = TcpStream::connect(addr).expect("connect");
             stream.write_all(&out).expect("stream history");
