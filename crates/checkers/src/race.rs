@@ -10,9 +10,8 @@ use std::collections::HashMap;
 
 use lineup_sched::{AccessEvent, AccessKind, ObjId, ThreadId};
 
-// The scheduler's DPOR machinery and this detector share one vector-clock
-// implementation (re-exported so existing `lineup_checkers::race::
-// VectorClock` users keep compiling).
+// The vector clock lives in the scheduler crate (re-exported so existing
+// `lineup_checkers::race::VectorClock` users keep compiling).
 pub use lineup_sched::VectorClock;
 
 /// A detected data race.

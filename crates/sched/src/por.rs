@@ -31,14 +31,25 @@
 //! sets on timeout, transitions that append to the Line-Up history — the
 //! declaration is conservative, trading pruning power for soundness.
 
-use std::collections::HashMap;
-
 use crate::events::AccessKind;
 use crate::ids::ObjId;
 
 /// Maximum number of virtual threads when partial-order reduction is
 /// active: sleep and backtrack sets are `u64` bitmasks over thread ids.
+///
+/// It also bounds the per-run clock arena: a transition that leaves a
+/// record appends one snapshot of `threads` 32-bit ticks, so a run holds
+/// at most `threads × steps` of them — 5 MB at 64 threads and
+/// the default [`Config::max_steps`](crate::Config::max_steps) of 20,000,
+/// 160 KB at two threads. Transitions that record nothing (no access, no
+/// history append, no wildcard) append nothing.
 pub const MAX_POR_THREADS: usize = 64;
+
+/// Largest object id the dense per-object record table accepts. Ids come
+/// from [`register_object`](crate::register_object), which numbers the
+/// objects of each run from 0, so real programs stay far below this; the
+/// cap turns a made-up id into a panic instead of a giant allocation.
+const MAX_POR_OBJECTS: usize = 1 << 20;
 
 /// Pseudo-object key under which Line-Up history appends (see
 /// [`mark_history_event`](crate::runtime::mark_history_event)) are
@@ -48,8 +59,9 @@ pub(crate) const MARK_KEY: u32 = u32::MAX;
 
 /// A vector clock over the (dense) thread ids of one execution.
 ///
-/// Used by the DPOR happens-before tracking here and by the race/
-/// serializability checkers in `lineup-checkers`.
+/// Used by the race/serializability checkers in `lineup-checkers`. The
+/// DPOR happens-before tracking here keeps its clocks in the flat buffers
+/// of `PorRun` instead and uses this type only as its test oracle.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct VectorClock(Vec<u64>);
 
@@ -186,16 +198,25 @@ impl Footprint {
     }
 }
 
+/// One component of a happens-before clock: how many transitions of one
+/// thread are ordered before a point. A component grows by one per
+/// transition, so a run's [`Config::max_steps`](crate::Config::max_steps)
+/// bounds it; [`PorRun::init_threads`] asserts that bound fits.
+type Tick = u32;
+
 /// The last recorded access of one kind to one object: who did it, at
 /// which schedule-tree node they were chosen, and their clock after it.
-#[derive(Debug, Clone)]
+/// `Copy`: every record one transition leaves shares that transition's
+/// single clock snapshot in the arena.
+#[derive(Debug, Clone, Copy)]
 struct Rec {
     thread: usize,
     /// The strategy-tree node at which `thread` was chosen for the
     /// transition performing this access; `None` when the transition was
     /// forced (singleton candidate) or chosen inside a replayed prefix.
     node: Option<usize>,
-    clock: VectorClock,
+    /// Offset in [`PorRun::arena`] of the clock snapshot.
+    at: usize,
 }
 
 #[derive(Debug, Default)]
@@ -205,23 +226,63 @@ struct ObjRecords {
     reads: Vec<Rec>,
 }
 
+impl ObjRecords {
+    /// Forgets the records, keeping the `reads` buffer.
+    fn clear(&mut self) {
+        self.last_write = None;
+        self.reads.clear();
+    }
+
+    /// Replaces the records with those of `rec`'s transition.
+    fn record(&mut self, rec: Rec, write: bool) {
+        if write {
+            self.reads.clear();
+            self.last_write = Some(rec);
+        } else {
+            self.reads.retain(|r| r.thread != rec.thread);
+            self.reads.push(rec);
+        }
+    }
+}
+
 /// A backtrack demand produced while finalizing a transition: thread
 /// `thread` must also be tried at strategy-tree node `node`.
+#[derive(Debug)]
 pub(crate) struct BacktrackDemand {
     pub node: usize,
     pub thread: usize,
 }
 
 /// Per-run partial-order-reduction state.
+///
+/// Laid out so that a schedule point allocates and hashes nothing once
+/// the buffers are warm: thread clocks are rows of one flat table, the
+/// clocks that records keep are snapshots appended to one per-run arena,
+/// and per-object records live in a table indexed by the object id.
 #[derive(Debug, Default)]
 pub(crate) struct PorRun {
     /// Sleep set: bitmask of threads whose exploration from the current
     /// state is redundant.
     pub sleep: u64,
-    /// Per-thread vector clocks (indexed by thread id).
-    clocks: Vec<VectorClock>,
-    objects: HashMap<u32, ObjRecords>,
+    /// Thread count of the current run; the width of every clock.
+    threads: usize,
+    /// Per-thread clocks: thread `t`'s is the row
+    /// `clocks[t * threads..(t + 1) * threads]`.
+    clocks: Vec<Tick>,
+    /// Clock snapshots taken this run, `threads` ticks each, addressed by
+    /// [`Rec::at`].
+    arena: Vec<Tick>,
+    /// Records per object, indexed by [`ObjId`]: ids are issued from 0 in
+    /// every run, so the table is dense.
+    objects: Vec<ObjRecords>,
+    /// Only `objects[..used]` can hold records of the current run.
+    used: usize,
+    /// Records of the [`MARK_KEY`] pseudo-object (and of a declared
+    /// [`NO_OBJ`](crate::AccessEvent::NO_OBJ), which has the same key).
+    marks: ObjRecords,
     last_wildcard: Option<Rec>,
+    /// Backtrack demands of the transition finalized last.
+    demands: Vec<BacktrackDemand>,
     /// The strategy-tree node at which the current transition's thread was
     /// chosen (`None` for forced transitions).
     pub cur_node: Option<usize>,
@@ -255,20 +316,43 @@ fn mutates(kind: AccessKind) -> bool {
         )
 }
 
+/// The recorded access `rec` is dependent on the transition thread `p` is
+/// finishing with clock `clock`: demand a backtrack where `rec`'s thread
+/// was chosen (unless already ordered) and join its clock into ours.
+fn meet(
+    rec: Rec,
+    p: usize,
+    clock: &mut [Tick],
+    arena: &[Tick],
+    demands: &mut Vec<BacktrackDemand>,
+) {
+    let theirs = &arena[rec.at..rec.at + clock.len()];
+    if rec.thread != p && clock[rec.thread] < theirs[rec.thread] {
+        if let Some(node) = rec.node {
+            demands.push(BacktrackDemand { node, thread: p });
+        }
+    }
+    for (mine, &tick) in clock.iter_mut().zip(theirs) {
+        *mine = (*mine).max(tick);
+    }
+}
+
 impl PorRun {
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Clears the per-run reduction state for reuse, keeping the clock,
-    /// pending, and slept-log allocations (the thread count is constant
-    /// across the runs of one exploration).
+    /// Clears the per-run reduction state for reuse. Every buffer keeps
+    /// its allocation; only the object slots the run touched are visited.
     pub fn reset(&mut self) {
         self.sleep = 0;
-        for clock in &mut self.clocks {
-            clock.clear();
+        self.clocks.fill(0);
+        self.arena.clear();
+        for recs in &mut self.objects[..self.used] {
+            recs.clear();
         }
-        self.objects.clear();
+        self.used = 0;
+        self.marks.clear();
         self.last_wildcard = None;
         self.cur_node = None;
         self.foot.clear();
@@ -276,21 +360,21 @@ impl PorRun {
         self.slept_log.clear();
     }
 
-    fn clock_mut(&mut self, t: usize) -> &mut VectorClock {
-        if self.clocks.len() <= t {
-            self.clocks.resize(t + 1, VectorClock::new());
-        }
-        &mut self.clocks[t]
-    }
-
-    fn pending_of(&self, t: usize) -> Pending {
-        self.pending.get(t).copied().unwrap_or(Pending::NoObj)
+    /// Sizes the clocks and pending declarations for a run of `n` threads
+    /// of at most `max_steps` steps. Call after [`reset`](PorRun::reset).
+    pub fn init_threads(&mut self, n: usize, max_steps: usize) {
+        assert!(
+            Tick::try_from(max_steps).is_ok(),
+            "partial-order reduction counts transitions in {}-bit clocks; \
+             Config::max_steps = {max_steps} does not fit",
+            Tick::BITS
+        );
+        self.threads = n;
+        self.clocks.resize(n * n, 0);
+        self.pending.resize(n, Pending::NoObj);
     }
 
     pub fn set_pending(&mut self, t: usize, p: Pending) {
-        if self.pending.len() <= t {
-            self.pending.resize(t + 1, Pending::NoObj);
-        }
         self.pending[t] = p;
     }
 
@@ -324,8 +408,10 @@ impl PorRun {
     /// computes DPOR backtrack demands against the happens-before
     /// relation, updates clocks and per-object records, wakes sleeping
     /// threads the transition conflicts with, and resets the footprint.
-    pub fn finish_transition(&mut self, p: usize) -> Vec<BacktrackDemand> {
-        let mut foot = std::mem::take(&mut self.foot);
+    /// Returns the demands; the slice is valid until the next call.
+    pub fn finish_transition(&mut self, p: usize) -> &[BacktrackDemand] {
+        let n = self.threads;
+        let foot = &mut self.foot;
         // Declared fallback: a primitive that logged nothing on its
         // declared object still touched it (failed lock acquires mutate
         // wait sets; reentrant monitor enters/exits go unlogged).
@@ -343,93 +429,93 @@ impl PorRun {
             foot.accesses.push((MARK_KEY, true));
         }
 
-        let mut demands = Vec::new();
-        let mut clock = self.clock_mut(p).clone();
-
-        // A recorded access is dependent on this transition: demand a
-        // backtrack where its thread was chosen (unless already ordered)
-        // and join its clock into ours.
-        let meet = |rec: &Rec, clock: &mut VectorClock, demands: &mut Vec<BacktrackDemand>| {
-            if rec.thread != p && !clock.covers(rec.thread, rec.clock.get(rec.thread)) {
-                if let Some(node) = rec.node {
-                    demands.push(BacktrackDemand { node, thread: p });
-                }
-            }
-            clock.join(&rec.clock);
-        };
+        self.demands.clear();
+        let clock = &mut self.clocks[p * n..(p + 1) * n];
+        let (arena, demands) = (&self.arena, &mut self.demands);
 
         // Yield-containing (and undeclared-timeout) transitions are
         // conservatively dependent on everything recorded so far.
-        if let Some(rec) = &self.last_wildcard {
-            meet(rec, &mut clock, &mut demands);
+        if let Some(rec) = self.last_wildcard {
+            meet(rec, p, clock, arena, demands);
         }
         if foot.wildcard {
-            for recs in self.objects.values() {
-                if let Some(rec) = &recs.last_write {
-                    meet(rec, &mut clock, &mut demands);
-                }
-                for rec in &recs.reads {
-                    meet(rec, &mut clock, &mut demands);
+            for recs in self.objects[..self.used].iter().chain([&self.marks]) {
+                for &rec in recs.last_write.iter().chain(&recs.reads) {
+                    meet(rec, p, clock, arena, demands);
                 }
             }
         }
         for &(o, w) in &foot.accesses {
-            if let Some(recs) = self.objects.get(&o) {
-                if let Some(rec) = &recs.last_write {
-                    meet(rec, &mut clock, &mut demands);
+            let recs = if o == MARK_KEY {
+                &self.marks
+            } else {
+                match self.objects.get(o as usize) {
+                    Some(recs) => recs,
+                    None => continue,
                 }
-                if w {
-                    for rec in &recs.reads {
-                        meet(rec, &mut clock, &mut demands);
-                    }
+            };
+            if let Some(rec) = recs.last_write {
+                meet(rec, p, clock, arena, demands);
+            }
+            if w {
+                for &rec in &recs.reads {
+                    meet(rec, p, clock, arena, demands);
                 }
             }
         }
 
-        clock.tick(p);
-        let rec = Rec {
-            thread: p,
-            node: self.cur_node,
-            clock: clock.clone(),
-        };
-        for &(o, w) in &foot.accesses {
-            let recs = self.objects.entry(o).or_default();
-            if w {
-                recs.reads.clear();
-                recs.last_write = Some(rec.clone());
-            } else {
-                recs.reads.retain(|r| r.thread != p);
-                recs.reads.push(rec.clone());
+        clock[p] += 1;
+        // One snapshot serves every record this transition leaves; a
+        // transition that leaves none needs none.
+        if foot.wildcard || !foot.accesses.is_empty() {
+            let rec = Rec {
+                thread: p,
+                node: self.cur_node,
+                at: self.arena.len(),
+            };
+            self.arena.extend_from_slice(clock);
+            for &(o, w) in &foot.accesses {
+                if o == MARK_KEY {
+                    self.marks.record(rec, w);
+                    continue;
+                }
+                let o = o as usize;
+                if o >= self.objects.len() {
+                    assert!(
+                        o < MAX_POR_OBJECTS,
+                        "object id {o} was not issued by register_object"
+                    );
+                    self.objects.resize_with(o + 1, ObjRecords::default);
+                }
+                self.used = self.used.max(o + 1);
+                self.objects[o].record(rec, w);
+            }
+            if foot.wildcard {
+                self.last_wildcard = Some(rec);
             }
         }
-        if foot.wildcard {
-            self.last_wildcard = Some(rec);
-        }
-        *self.clock_mut(p) = clock.clone();
         // Waking a thread is an enabling happens-before edge.
         for &u in &foot.woke {
-            self.clock_mut(u).join(&clock);
+            for i in 0..n {
+                let tick = self.clocks[p * n + i];
+                let theirs = &mut self.clocks[u * n + i];
+                *theirs = (*theirs).max(tick);
+            }
         }
 
         // Sleep wake-up: a sleeping thread whose pending transition
         // conflicts with (or was woken by) this one must be re-explored.
-        let mut sleep = self.sleep;
-        let mut t = 0;
-        while sleep >> t != 0 {
-            if sleep & bit(t) != 0 && (foot.woke.contains(&t) || foot.conflicts(self.pending_of(t)))
-            {
-                sleep &= !bit(t);
+        let mut asleep = self.sleep;
+        while asleep != 0 {
+            let t = asleep.trailing_zeros() as usize;
+            asleep &= asleep - 1;
+            if foot.woke.contains(&t) || foot.conflicts(self.pending[t]) {
+                self.sleep &= !bit(t);
             }
-            t += 1;
         }
-        self.sleep = sleep;
         self.cur_node = None;
-        // Recycle the footprint's buffers for the next transition instead
-        // of dropping them: finish_transition runs at every schedule
-        // point, so this keeps the hot path allocation-free.
         foot.clear();
-        self.foot = foot;
-        demands
+        &self.demands
     }
 }
 
@@ -487,6 +573,7 @@ mod tests {
     #[test]
     fn writes_wake_sleeping_readers() {
         let mut por = PorRun::new();
+        por.init_threads(3, 100);
         por.sleep = bit(1) | bit(2);
         por.set_pending(
             1,
@@ -519,6 +606,7 @@ mod tests {
     #[test]
     fn unordered_conflict_demands_backtrack() {
         let mut por = PorRun::new();
+        por.init_threads(2, 100);
         // Thread 0 writes object 5 from node 4.
         por.cur_node = Some(4);
         por.foot.declared = Pending::Obj {
@@ -551,6 +639,7 @@ mod tests {
     #[test]
     fn wake_edge_orders_threads() {
         let mut por = PorRun::new();
+        por.init_threads(2, 100);
         // Thread 0 writes object 9 and wakes thread 1.
         por.foot.declared = Pending::Obj {
             obj: 9,
@@ -566,5 +655,363 @@ mod tests {
         };
         por.foot.accesses.push((9, true));
         assert!(por.finish_transition(1).is_empty());
+    }
+
+    /// The happens-before bookkeeping as it was before the flat layout: a
+    /// heap `VectorClock` per thread and one cloned into every record,
+    /// records in a map keyed by object id. `finish_transition` is that
+    /// code kept verbatim as the oracle for
+    /// `flat_layout_matches_reference`, except that the map is a
+    /// `BTreeMap` where the original was a `HashMap`: a wildcard
+    /// transition meets every recorded object, the order of those meets
+    /// decides which of two ordered records still gets a demand, and
+    /// `HashMap::values()` order is unspecified. Ascending id with the
+    /// history pseudo-object last is the order the dense table has.
+    mod reference {
+        use std::collections::BTreeMap;
+
+        use super::super::{bit, BacktrackDemand, Footprint, Pending, VectorClock, MARK_KEY};
+
+        #[derive(Debug, Clone)]
+        pub struct Rec {
+            pub thread: usize,
+            pub node: Option<usize>,
+            pub clock: VectorClock,
+        }
+
+        #[derive(Debug, Default)]
+        pub struct ObjRecords {
+            pub last_write: Option<Rec>,
+            pub reads: Vec<Rec>,
+        }
+
+        #[derive(Debug, Default)]
+        pub struct PorRun {
+            pub sleep: u64,
+            pub clocks: Vec<VectorClock>,
+            pub objects: BTreeMap<u32, ObjRecords>,
+            pub last_wildcard: Option<Rec>,
+            pub cur_node: Option<usize>,
+            pub foot: Footprint,
+            pub pending: Vec<Pending>,
+        }
+
+        impl PorRun {
+            pub fn clock_mut(&mut self, t: usize) -> &mut VectorClock {
+                if self.clocks.len() <= t {
+                    self.clocks.resize(t + 1, VectorClock::new());
+                }
+                &mut self.clocks[t]
+            }
+
+            fn pending_of(&self, t: usize) -> Pending {
+                self.pending.get(t).copied().unwrap_or(Pending::NoObj)
+            }
+
+            pub fn set_pending(&mut self, t: usize, p: Pending) {
+                if self.pending.len() <= t {
+                    self.pending.resize(t + 1, Pending::NoObj);
+                }
+                self.pending[t] = p;
+            }
+
+            pub fn finish_transition(&mut self, p: usize) -> Vec<BacktrackDemand> {
+                let mut foot = std::mem::take(&mut self.foot);
+                match foot.declared {
+                    Pending::Obj { obj, write } => {
+                        if !foot.accesses.iter().any(|&(o, _)| o == obj) {
+                            foot.accesses.push((obj, write));
+                        }
+                    }
+                    Pending::Unknown => foot.wildcard = true,
+                    Pending::NoObj => {}
+                }
+                if foot.marks > 0 {
+                    foot.accesses.push((MARK_KEY, true));
+                }
+
+                let mut demands = Vec::new();
+                let mut clock = self.clock_mut(p).clone();
+
+                let meet =
+                    |rec: &Rec, clock: &mut VectorClock, demands: &mut Vec<BacktrackDemand>| {
+                        if rec.thread != p && !clock.covers(rec.thread, rec.clock.get(rec.thread)) {
+                            if let Some(node) = rec.node {
+                                demands.push(BacktrackDemand { node, thread: p });
+                            }
+                        }
+                        clock.join(&rec.clock);
+                    };
+
+                if let Some(rec) = &self.last_wildcard {
+                    meet(rec, &mut clock, &mut demands);
+                }
+                if foot.wildcard {
+                    for recs in self.objects.values() {
+                        if let Some(rec) = &recs.last_write {
+                            meet(rec, &mut clock, &mut demands);
+                        }
+                        for rec in &recs.reads {
+                            meet(rec, &mut clock, &mut demands);
+                        }
+                    }
+                }
+                for &(o, w) in &foot.accesses {
+                    if let Some(recs) = self.objects.get(&o) {
+                        if let Some(rec) = &recs.last_write {
+                            meet(rec, &mut clock, &mut demands);
+                        }
+                        if w {
+                            for rec in &recs.reads {
+                                meet(rec, &mut clock, &mut demands);
+                            }
+                        }
+                    }
+                }
+
+                clock.tick(p);
+                let rec = Rec {
+                    thread: p,
+                    node: self.cur_node,
+                    clock: clock.clone(),
+                };
+                for &(o, w) in &foot.accesses {
+                    let recs = self.objects.entry(o).or_default();
+                    if w {
+                        recs.reads.clear();
+                        recs.last_write = Some(rec.clone());
+                    } else {
+                        recs.reads.retain(|r| r.thread != p);
+                        recs.reads.push(rec.clone());
+                    }
+                }
+                if foot.wildcard {
+                    self.last_wildcard = Some(rec);
+                }
+                *self.clock_mut(p) = clock.clone();
+                for &u in &foot.woke {
+                    self.clock_mut(u).join(&clock);
+                }
+
+                let mut sleep = self.sleep;
+                let mut t = 0;
+                while sleep >> t != 0 {
+                    if sleep & bit(t) != 0
+                        && (foot.woke.contains(&t) || foot.conflicts(self.pending_of(t)))
+                    {
+                        sleep &= !bit(t);
+                    }
+                    t += 1;
+                }
+                self.sleep = sleep;
+                self.cur_node = None;
+                foot.clear();
+                self.foot = foot;
+                demands
+            }
+        }
+    }
+
+    use proptest::prelude::*;
+
+    /// One transition as the scheduler would report it. Thread ids are
+    /// reduced modulo the run's thread count when applied.
+    #[derive(Debug, Clone)]
+    struct Step {
+        thread: usize,
+        node: Option<usize>,
+        accesses: Vec<(u32, bool)>,
+        marks: u32,
+        woke: Vec<usize>,
+        yielded: bool,
+        declared: Pending,
+        /// Threads put to sleep before the transition ends.
+        slept: u64,
+        /// A pending declaration made before the transition ends.
+        repend: (usize, Pending),
+    }
+
+    fn pending_strategy() -> BoxedStrategy<Pending> {
+        let obj = |ids: BoxedStrategy<u32>| {
+            (ids, any::<bool>()).prop_map(|(obj, write)| Pending::Obj { obj, write })
+        };
+        prop_oneof![
+            Just(Pending::NoObj),
+            Just(Pending::Unknown),
+            obj((0u32..6).boxed()),
+            obj((0u32..6).boxed()),
+            obj((0u32..6).boxed()),
+            // A primitive built outside the model declares the no-object
+            // id, which shares a key with the history pseudo-object.
+            obj(Just(MARK_KEY).boxed()),
+        ]
+    }
+
+    fn step_strategy() -> BoxedStrategy<Step> {
+        let what = (
+            prop::collection::vec((0u32..6, any::<bool>()), 0..4),
+            0u32..4,
+            prop::collection::vec(0usize..5, 0..3),
+            0u32..6,
+            pending_strategy(),
+        );
+        let who = (
+            0usize..5,
+            0usize..16,
+            any::<u64>(),
+            (0usize..5, pending_strategy()),
+        );
+        (what, who)
+            .prop_map(
+                |((accesses, marks, woke, yielded, declared), (thread, node, slept, repend))| {
+                    Step {
+                        thread,
+                        // A quarter of the transitions are forced or replayed.
+                        node: (node % 4 != 0).then_some(node),
+                        accesses,
+                        // Half the transitions append to the history.
+                        marks: marks.saturating_sub(1),
+                        // Two thirds wake nobody.
+                        woke: if woke.len() == 2 { woke } else { Vec::new() },
+                        yielded: yielded == 0,
+                        declared,
+                        // Sparse: the AND of two draws would need a second
+                        // word; a shifted self-AND is as good here.
+                        slept: slept & (slept >> 7) & (slept >> 13),
+                        repend,
+                    }
+                },
+            )
+            .boxed()
+    }
+
+    /// `(thread, node, clock)` of a record, for comparing the two models.
+    type RecDump = (usize, Option<usize>, Vec<u64>);
+
+    /// Every record the reference holds: `(object, last write, reads)`
+    /// for each object with any, then the last wildcard.
+    fn dump_reference(
+        por: &reference::PorRun,
+        n: usize,
+    ) -> (Vec<(u32, Vec<RecDump>)>, Vec<RecDump>) {
+        let dump =
+            |r: &reference::Rec| (r.thread, r.node, (0..n).map(|t| r.clock.get(t)).collect());
+        let objects = por
+            .objects
+            .iter()
+            .map(|(&o, recs)| {
+                (
+                    o,
+                    recs.last_write
+                        .iter()
+                        .chain(&recs.reads)
+                        .map(dump)
+                        .collect(),
+                )
+            })
+            .filter(|(_, recs): &(u32, Vec<RecDump>)| !recs.is_empty())
+            .collect();
+        (objects, por.last_wildcard.iter().map(dump).collect())
+    }
+
+    fn dump_flat(por: &PorRun) -> (Vec<(u32, Vec<RecDump>)>, Vec<RecDump>) {
+        let n = por.threads;
+        let dump = |r: &Rec| {
+            let clock = por.arena[r.at..r.at + n]
+                .iter()
+                .map(|&t| u64::from(t))
+                .collect();
+            (r.thread, r.node, clock)
+        };
+        let objects = por.objects[..por.used]
+            .iter()
+            .zip(0u32..)
+            .chain([(&por.marks, MARK_KEY)])
+            .map(|(recs, o)| {
+                (
+                    o,
+                    recs.last_write
+                        .iter()
+                        .chain(&recs.reads)
+                        .map(dump)
+                        .collect(),
+                )
+            })
+            .filter(|(_, recs): &(u32, Vec<RecDump>)| !recs.is_empty())
+            .collect();
+        (objects, por.last_wildcard.iter().map(dump).collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The flat clock arena and dense record table compute, transition
+        /// by transition, exactly what per-record `VectorClock` clones in
+        /// a map did: the same demands in the same order, the same sleep
+        /// set, the same happens-before answers, the same records. The
+        /// second run checks that `reset` leaves nothing of the first.
+        #[test]
+        fn flat_layout_matches_reference(
+            threads in 2usize..6,
+            runs in prop::collection::vec(prop::collection::vec(step_strategy(), 1..48), 1..3),
+        ) {
+            let everyone = bit(threads) - 1;
+            let mut flat = PorRun::new();
+            for steps in &runs {
+                flat.reset();
+                flat.init_threads(threads, steps.len());
+                prop_assert!(flat.arena.is_empty(), "reset empties the arena");
+                let mut old = reference::PorRun::default();
+                for step in steps {
+                    let p = step.thread % threads;
+                    let (who, what) = (step.repend.0 % threads, step.repend.1);
+                    flat.set_pending(who, what);
+                    old.set_pending(who, what);
+                    flat.sleep |= step.slept & everyone;
+                    old.sleep |= step.slept & everyone;
+                    flat.cur_node = step.node;
+                    old.cur_node = step.node;
+                    flat.foot.declared = step.declared;
+                    old.foot.declared = step.declared;
+                    flat.foot.accesses.extend_from_slice(&step.accesses);
+                    old.foot.accesses.extend_from_slice(&step.accesses);
+                    flat.foot.marks = step.marks;
+                    old.foot.marks = step.marks;
+                    flat.foot.wildcard = step.yielded;
+                    old.foot.wildcard = step.yielded;
+                    for &u in &step.woke {
+                        flat.note_wake(u % threads);
+                        old.foot.woke.push(u % threads);
+                    }
+
+                    // A transition that touches nothing leaves no record and
+                    // so no snapshot; any other leaves exactly one.
+                    let silent = step.accesses.is_empty()
+                        && step.marks == 0
+                        && !step.yielded
+                        && step.declared == Pending::NoObj;
+                    let snapshots = flat.arena.len() / threads + usize::from(!silent);
+
+                    let want: Vec<_> =
+                        old.finish_transition(p).iter().map(|d| (d.node, d.thread)).collect();
+                    let got: Vec<_> =
+                        flat.finish_transition(p).iter().map(|d| (d.node, d.thread)).collect();
+                    prop_assert_eq!(got, want);
+                    prop_assert_eq!(flat.sleep, old.sleep);
+                    prop_assert_eq!(flat.arena.len(), snapshots * threads);
+                    // Every epoch a record can carry is `(t, k)` for `k`
+                    // up to `t`'s own transition count.
+                    for u in 0..threads {
+                        for t in 0..threads {
+                            for time in 0..=old.clock_mut(t).get(t) + 1 {
+                                let covers = u64::from(flat.clocks[u * threads + t]) >= time;
+                                prop_assert_eq!(covers, old.clock_mut(u).covers(t, time));
+                            }
+                        }
+                    }
+                    prop_assert_eq!(dump_flat(&flat), dump_reference(&old, threads));
+                }
+            }
+        }
     }
 }

@@ -169,6 +169,12 @@ pub(crate) struct RtState {
     /// Whether [`Config::effective_symmetry`] held at construction
     /// (cached; the gate never changes during an exploration).
     sym_enabled: bool,
+    /// Thread-id bitmask of the threads still [`Status::NotStarted`], kept
+    /// current by [`set_status`](RtState::set_status) when symmetry
+    /// reduction is enabled (0 otherwise): only fresh threads can be
+    /// masked, so once fewer than two remain
+    /// [`symmetry_mask`](RtState::symmetry_mask) has nothing to compute.
+    fresh: u64,
     /// Per-decision symmetry reductions of the current run, indexed by the
     /// strategy node id the decision reported ([`PorChoice::node`]): each
     /// entry lists `(blocked_mask, representative)` pairs, one per
@@ -223,6 +229,7 @@ impl RtState {
             fast_path_steps: 0,
             handoffs: 0,
             symmetry_prunes: 0,
+            fresh: 0,
             sym_nodes: Vec::new(),
             sym_scratch: Vec::new(),
             enabled_buf: Vec::new(),
@@ -270,6 +277,14 @@ impl RtState {
              and Config::with_symmetry(Vec::new())"
         );
         self.threads.extend((0..n).map(|_| ThreadState::new()));
+        self.fresh = if self.sym_enabled {
+            1u64.checked_shl(n as u32).map_or(u64::MAX, |b| b - 1)
+        } else {
+            0
+        };
+        if let Some(por) = &mut self.por {
+            por.init_threads(n, self.config.max_steps);
+        }
         while self.slots.len() < n {
             self.slots.push(Arc::new(WakeSlot::new()));
         }
@@ -369,23 +384,20 @@ impl RtState {
         // POR: the transition of the current thread just ended — settle
         // its footprint (happens-before joins, DPOR backtrack demands,
         // sleep-set wake-ups) before the next scheduling decision.
-        if let Some(mut por) = self.por.take() {
-            if let Some(cur) = self.current {
-                let demands = por.finish_transition(cur);
-                if !demands.is_empty() {
-                    let strategy = self.strategy.as_mut().expect("strategy present during run");
-                    for d in demands {
-                        // A demand landing on a symmetry-masked sibling is
-                        // redirected to the group representative: the
-                        // sibling can never be expanded at that node, so
-                        // the representative must cover the demanded
-                        // schedule's symmetric image instead.
-                        let thread = Self::redirect_demand(&self.sym_nodes, d.node, d.thread);
-                        strategy.add_backtrack(d.node, thread);
-                    }
+        if let (Some(por), Some(cur)) = (&mut self.por, self.current) {
+            let demands = por.finish_transition(cur);
+            if !demands.is_empty() {
+                let strategy = self.strategy.as_mut().expect("strategy present during run");
+                for d in demands {
+                    // A demand landing on a symmetry-masked sibling is
+                    // redirected to the group representative: the
+                    // sibling can never be expanded at that node, so
+                    // the representative must cover the demanded
+                    // schedule's symmetric image instead.
+                    let thread = Self::redirect_demand(&self.sym_nodes, d.node, d.thread);
+                    strategy.add_backtrack(d.node, thread);
                 }
             }
-            self.por = Some(por);
         }
 
         enabled.clear();
@@ -553,7 +565,7 @@ impl RtState {
             // The next transition's footprint starts from the declared
             // intent of the thread about to run (its fallback when the
             // primitive logs nothing).
-            por.foot.declared = por.pending.get(next).copied().unwrap_or_default();
+            por.foot.declared = por.pending[next];
         }
         self.current = Some(next);
         true
@@ -574,22 +586,16 @@ impl RtState {
     /// per contributing group, for [`RtState::record_sym_node`].
     fn symmetry_mask(&mut self, candidates: &[usize]) -> u64 {
         self.sym_scratch.clear();
-        if !self.sym_enabled || candidates.len() < 2 {
+        if self.fresh.count_ones() < 2 || candidates.len() < 2 {
             return 0;
         }
         let mut cand_mask = 0u64;
         for &t in candidates.iter() {
             cand_mask |= 1u64 << t;
         }
-        let mut fresh = 0u64;
-        for (t, th) in self.threads.iter().enumerate() {
-            if th.status == Status::NotStarted {
-                fresh |= 1u64 << t;
-            }
-        }
         let mut mask = 0u64;
         for i in 0..self.config.symmetry.len() {
-            let live = self.config.symmetry[i] & cand_mask & fresh;
+            let live = self.config.symmetry[i] & cand_mask & self.fresh;
             if live.count_ones() >= 2 {
                 let rep = live.trailing_zeros() as usize;
                 let blocked = live & (live - 1); // all but the lowest bit
@@ -753,6 +759,14 @@ impl RtState {
     }
 
     pub fn set_status(&mut self, t: usize, status: Status) {
+        debug_assert_ne!(
+            status,
+            Status::NotStarted,
+            "threads never become fresh again"
+        );
+        if self.sym_enabled {
+            self.fresh &= !(1u64 << t);
+        }
         self.threads[t].status = status;
     }
 

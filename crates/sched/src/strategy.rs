@@ -102,7 +102,7 @@ pub trait Strategy {
 /// additions when replayed.
 #[derive(Debug, Default)]
 pub struct DfsStrategy {
-    path: Vec<DfsNode>,
+    path: DfsPath,
     cursor: usize,
     por: bool,
     /// With POR: expand every awake candidate instead of only the
@@ -134,9 +134,11 @@ enum DfsNode {
 
 #[derive(Debug, Clone)]
 struct ThreadNode {
-    /// The candidate thread ids, in runtime order.
-    candidates: Vec<usize>,
-    /// Index into `candidates` of the branch being explored.
+    /// The candidate thread ids, in runtime order, are
+    /// `cands[first..first + len]` of the [`DfsPath`] holding this node.
+    first: usize,
+    len: usize,
+    /// Index into the candidates of the branch being explored.
     chosen: usize,
     /// Thread-id bitmask of candidates whose subtrees are fully explored;
     /// they sleep while the remaining branches run.
@@ -160,12 +162,18 @@ fn bit(t: usize) -> u64 {
 }
 
 impl ThreadNode {
+    /// This node's candidates, given its path's candidate stack.
+    fn candidates<'a>(&self, cands: &'a [usize]) -> &'a [usize] {
+        &cands[self.first..self.first + self.len]
+    }
+
     /// Advances to the next branch to explore, or `None` to pop: a
     /// candidate not yet done, not asleep at entry, and (unless `full`)
     /// demanded by a backtrack point.
-    fn advance(&mut self) -> bool {
-        self.done |= bit(self.candidates[self.chosen]);
-        let next = self.candidates.iter().position(|&t| {
+    fn advance(&mut self, cands: &[usize]) -> bool {
+        let candidates = self.candidates(cands);
+        self.done |= bit(candidates[self.chosen]);
+        let next = candidates.iter().position(|&t| {
             self.done & bit(t) == 0
                 && self.sleep_entry & bit(t) == 0
                 && self.stolen & bit(t) == 0
@@ -196,10 +204,80 @@ impl ThreadNode {
     /// first, then the remaining awake candidates in candidate order, so
     /// the last is the highest-position splittable candidate other than
     /// `chosen`.
-    fn steal_position(&self) -> Option<usize> {
-        (0..self.candidates.len())
+    fn steal_position(&self, cands: &[usize]) -> Option<usize> {
+        let candidates = self.candidates(cands);
+        (0..candidates.len())
             .rev()
-            .find(|&p| p != self.chosen && self.splittable(self.candidates[p]))
+            .find(|&p| p != self.chosen && self.splittable(candidates[p]))
+    }
+}
+
+/// The decision path of a depth-first search, shared by [`DfsStrategy`]
+/// and [`FrontierStrategy`]: the node stack, and the candidate lists of
+/// its thread nodes back to back in one second stack. Nodes are pushed
+/// and popped at the deep end only, so their lists are too, and a new
+/// node never allocates one of its own.
+#[derive(Debug, Default)]
+struct DfsPath {
+    nodes: Vec<DfsNode>,
+    cands: Vec<usize>,
+}
+
+/// Position of the first candidate not in `cur_sleep`.
+fn first_awake(candidates: &[usize], cur_sleep: u64) -> usize {
+    candidates
+        .iter()
+        .position(|&t| cur_sleep & bit(t) == 0)
+        .expect("caller guarantees an awake candidate")
+}
+
+impl DfsPath {
+    /// Pushes the node of a thread choice reached for the first time, on
+    /// its first awake candidate, and returns that candidate's position.
+    fn push_thread(&mut self, candidates: &[usize], cur_sleep: u64, full: bool) -> usize {
+        let chosen = first_awake(candidates, cur_sleep);
+        let first = self.cands.len();
+        self.cands.extend_from_slice(candidates);
+        self.nodes.push(DfsNode::Thread(ThreadNode {
+            first,
+            len: candidates.len(),
+            chosen,
+            done: 0,
+            backtrack: bit(candidates[chosen]),
+            sleep_entry: cur_sleep,
+            full,
+            stolen: 0,
+        }));
+        chosen
+    }
+
+    /// Moves the deepest node that still has an unexplored branch onto
+    /// that branch, popping the exhausted nodes below it. Returns `false`
+    /// when the whole tree is explored.
+    fn advance(&mut self) -> bool {
+        while let Some(last) = self.nodes.last_mut() {
+            match last {
+                DfsNode::Plain {
+                    num_alts,
+                    chosen,
+                    stolen,
+                } => {
+                    if *chosen + 1 < *num_alts - *stolen {
+                        *chosen += 1;
+                        return true;
+                    }
+                }
+                DfsNode::Thread(tn) => {
+                    if tn.advance(&self.cands) {
+                        return true;
+                    }
+                }
+            }
+            if let Some(DfsNode::Thread(tn)) = self.nodes.pop() {
+                self.cands.truncate(tn.first);
+            }
+        }
+        false
     }
 }
 
@@ -248,17 +326,18 @@ impl DfsStrategy {
     /// stolen-branch-is-last invariant holds for the rest of the victim's
     /// exploration.
     pub fn split_deepest(&mut self) -> Option<StolenSubtree> {
-        let split = (0..self.path.len()).rev().find(|&i| match &self.path[i] {
+        let DfsPath { nodes, cands } = &mut self.path;
+        let split = (0..nodes.len()).rev().find(|&i| match &nodes[i] {
             DfsNode::Plain {
                 num_alts,
                 chosen,
                 stolen,
             } => chosen + 1 < num_alts - stolen,
-            DfsNode::Thread(tn) => tn.steal_position().is_some(),
+            DfsNode::Thread(tn) => tn.steal_position(cands).is_some(),
         })?;
         let mut prefix = Vec::with_capacity(split + 1);
         let mut sleep = Vec::with_capacity(split + 1);
-        for node in &mut self.path[..split] {
+        for node in &mut nodes[..split] {
             match node {
                 DfsNode::Plain { chosen, .. } => {
                     prefix.push(*chosen);
@@ -271,7 +350,7 @@ impl DfsStrategy {
                 }
             }
         }
-        match &mut self.path[split] {
+        match &mut nodes[split] {
             DfsNode::Plain {
                 num_alts, stolen, ..
             } => {
@@ -285,17 +364,18 @@ impl DfsStrategy {
             }
             DfsNode::Thread(tn) => {
                 tn.full = true;
-                let pos = tn.steal_position().expect("checked splittable above");
-                let thief_thread = tn.candidates[pos];
+                let pos = tn.steal_position(cands).expect("checked splittable above");
+                let candidates = tn.candidates(cands);
+                let thief_thread = candidates[pos];
                 // Everything the victim explores before the stolen branch
                 // sleeps inside it, exactly as in the serial order.
                 let mut mask = tn.done;
-                for &t in &tn.candidates {
+                for &t in candidates {
                     if tn.splittable(t) && t != thief_thread {
                         mask |= bit(t);
                     }
                 }
-                mask |= bit(tn.candidates[tn.chosen]);
+                mask |= bit(candidates[tn.chosen]);
                 tn.stolen |= bit(thief_thread);
                 prefix.push(pos);
                 sleep.push(mask);
@@ -312,6 +392,7 @@ impl DfsStrategy {
     /// been raised against a run the strategy already moved past).
     pub fn current_decisions(&self) -> Vec<usize> {
         self.path
+            .nodes
             .iter()
             .map(|node| match node {
                 DfsNode::Plain { chosen, .. } => *chosen,
@@ -328,12 +409,12 @@ impl Strategy for DfsStrategy {
 
     fn choose(&mut self, num_alts: usize) -> usize {
         debug_assert!(num_alts >= 2);
-        if self.cursor < self.path.len() {
+        if self.cursor < self.path.nodes.len() {
             let DfsNode::Plain {
                 num_alts: n,
                 chosen,
                 ..
-            } = self.path[self.cursor]
+            } = self.path.nodes[self.cursor]
             else {
                 panic!(
                     "nondeterministic replay: a thread choice became a \
@@ -348,13 +429,13 @@ impl Strategy for DfsStrategy {
             self.cursor += 1;
             chosen
         } else {
-            self.path.push(DfsNode::Plain {
+            self.path.nodes.push(DfsNode::Plain {
                 num_alts,
                 chosen: 0,
                 stolen: 0,
             });
             self.cursor += 1;
-            self.max_depth = self.max_depth.max(self.path.len());
+            self.max_depth = self.max_depth.max(self.path.nodes.len());
             0
         }
     }
@@ -378,16 +459,17 @@ impl Strategy for DfsStrategy {
         // deterministic function of the decision prefix, so a node created
         // with a mask is revisited with the same mask. Without POR there
         // are no backtrack demands, so such nodes must expand fully.
-        if self.cursor < self.path.len() {
+        if self.cursor < self.path.nodes.len() {
             let node_id = self.cursor;
-            let DfsNode::Thread(tn) = &self.path[node_id] else {
+            let DfsNode::Thread(tn) = &self.path.nodes[node_id] else {
                 panic!(
                     "nondeterministic replay: a boolean choice became a \
                      thread choice given the same schedule prefix"
                 );
             };
             assert_eq!(
-                tn.candidates, candidates,
+                tn.candidates(&self.path.cands),
+                candidates,
                 "nondeterministic replay: the candidate threads must match \
                  given the same schedule prefix"
             );
@@ -402,40 +484,31 @@ impl Strategy for DfsStrategy {
                 node: Some(node_id),
             }
         } else {
-            let chosen = candidates
-                .iter()
-                .position(|&t| cur_sleep & bit(t) == 0)
-                .expect("caller guarantees an awake candidate");
-            self.path.push(DfsNode::Thread(ThreadNode {
-                candidates: candidates.to_vec(),
-                chosen,
-                done: 0,
-                backtrack: bit(candidates[chosen]),
-                sleep_entry: cur_sleep,
-                full: self.full_expansion || !self.por,
-                stolen: 0,
-            }));
+            let full = self.full_expansion || !self.por;
+            let chosen = self.path.push_thread(candidates, cur_sleep, full);
             self.cursor += 1;
-            self.max_depth = self.max_depth.max(self.path.len());
+            self.max_depth = self.max_depth.max(self.path.nodes.len());
             PorChoice {
                 index: chosen,
                 slept: 0,
-                node: Some(self.path.len() - 1),
+                node: Some(self.path.nodes.len() - 1),
             }
         }
     }
 
     fn add_backtrack(&mut self, node: usize, thread: usize) {
-        let DfsNode::Thread(tn) = &mut self.path[node] else {
+        let DfsPath { nodes, cands } = &mut self.path;
+        let DfsNode::Thread(tn) = &mut nodes[node] else {
             return;
         };
+        let candidates = tn.candidates(cands);
         // FG-DPOR: demand `thread` where it was a candidate; otherwise
         // (it was excluded, e.g. right after its own yield) demand every
         // candidate so no reordering is lost.
-        let wanted = if tn.candidates.contains(&thread) {
+        let wanted = if candidates.contains(&thread) {
             bit(thread)
         } else {
-            tn.candidates.iter().fold(0u64, |m, &t| m | bit(t))
+            candidates.iter().fold(0u64, |m, &t| m | bit(t))
         };
         let added = wanted & !tn.backtrack;
         if added != 0 {
@@ -451,30 +524,10 @@ impl Strategy for DfsStrategy {
     fn end_run(&mut self) -> bool {
         debug_assert_eq!(
             self.cursor,
-            self.path.len(),
+            self.path.nodes.len(),
             "run must consume its whole path"
         );
-        while let Some(last) = self.path.last_mut() {
-            match last {
-                DfsNode::Plain {
-                    num_alts,
-                    chosen,
-                    stolen,
-                } => {
-                    if *chosen + 1 < *num_alts - *stolen {
-                        *chosen += 1;
-                        return true;
-                    }
-                }
-                DfsNode::Thread(tn) => {
-                    if tn.advance() {
-                        return true;
-                    }
-                }
-            }
-            self.path.pop();
-        }
-        false
+        self.path.advance()
     }
 }
 
@@ -697,7 +750,7 @@ impl Strategy for PrefixDfsStrategy {
 pub struct FrontierStrategy {
     limit: usize,
     por: bool,
-    path: Vec<DfsNode>,
+    path: DfsPath,
     cursor: usize,
 }
 
@@ -707,7 +760,7 @@ impl FrontierStrategy {
         FrontierStrategy {
             limit,
             por: false,
-            path: Vec::new(),
+            path: DfsPath::default(),
             cursor: 0,
         }
     }
@@ -723,7 +776,7 @@ impl FrontierStrategy {
         FrontierStrategy {
             limit,
             por: true,
-            path: Vec::new(),
+            path: DfsPath::default(),
             cursor: 0,
         }
     }
@@ -736,12 +789,12 @@ impl Strategy for FrontierStrategy {
 
     fn choose(&mut self, num_alts: usize) -> usize {
         debug_assert!(num_alts >= 2);
-        if self.cursor < self.path.len() {
+        if self.cursor < self.path.nodes.len() {
             let DfsNode::Plain {
                 num_alts: n,
                 chosen,
                 ..
-            } = self.path[self.cursor]
+            } = self.path.nodes[self.cursor]
             else {
                 panic!(
                     "nondeterministic replay: a thread choice became a \
@@ -756,7 +809,7 @@ impl Strategy for FrontierStrategy {
             self.cursor += 1;
             chosen
         } else if self.cursor < self.limit {
-            self.path.push(DfsNode::Plain {
+            self.path.nodes.push(DfsNode::Plain {
                 num_alts,
                 chosen: 0,
                 stolen: 0,
@@ -786,16 +839,17 @@ impl Strategy for FrontierStrategy {
                 node: None,
             };
         }
-        if self.cursor < self.path.len() {
+        if self.cursor < self.path.nodes.len() {
             let node_id = self.cursor;
-            let DfsNode::Thread(tn) = &self.path[node_id] else {
+            let DfsNode::Thread(tn) = &self.path.nodes[node_id] else {
                 panic!(
                     "nondeterministic replay: a boolean choice became a \
                      thread choice given the same schedule prefix"
                 );
             };
             assert_eq!(
-                tn.candidates, candidates,
+                tn.candidates(&self.path.cands),
+                candidates,
                 "nondeterministic replay: the candidate threads must match \
                  given the same schedule prefix"
             );
@@ -806,21 +860,11 @@ impl Strategy for FrontierStrategy {
                 node: None,
             }
         } else {
-            let chosen = candidates
-                .iter()
-                .position(|&t| cur_sleep & bit(t) == 0)
-                .expect("caller guarantees an awake candidate");
-            if self.cursor < self.limit {
-                self.path.push(DfsNode::Thread(ThreadNode {
-                    candidates: candidates.to_vec(),
-                    chosen,
-                    done: 0,
-                    backtrack: bit(candidates[chosen]),
-                    sleep_entry: cur_sleep,
-                    full: true,
-                    stolen: 0,
-                }));
-            }
+            let chosen = if self.cursor < self.limit {
+                self.path.push_thread(candidates, cur_sleep, true)
+            } else {
+                first_awake(candidates, cur_sleep)
+            };
             self.cursor += 1;
             PorChoice {
                 index: chosen,
@@ -831,27 +875,7 @@ impl Strategy for FrontierStrategy {
     }
 
     fn end_run(&mut self) -> bool {
-        while let Some(last) = self.path.last_mut() {
-            match last {
-                DfsNode::Plain {
-                    num_alts,
-                    chosen,
-                    stolen,
-                } => {
-                    if *chosen + 1 < *num_alts - *stolen {
-                        *chosen += 1;
-                        return true;
-                    }
-                }
-                DfsNode::Thread(tn) => {
-                    if tn.advance() {
-                        return true;
-                    }
-                }
-            }
-            self.path.pop();
-        }
-        false
+        self.path.advance()
     }
 }
 
