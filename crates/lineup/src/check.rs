@@ -2,6 +2,7 @@
 //! specification from serial executions, then verify every concurrent
 //! execution against it.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 use std::ops::ControlFlow;
@@ -559,23 +560,18 @@ pub fn synthesize_spec<T: TestTarget>(
     (spec, phase, panic_violation)
 }
 
-/// Runs phase 2 only, against a given specification: explores the
-/// concurrent executions of the test and checks every history (full or
-/// stuck) for a serial witness.
-///
-/// Exposed separately so a specification synthesized from one
-/// implementation can be checked against another (differential checking —
-/// e.g. validating a "fixed" version against the behaviors of a reference
-/// implementation). [`check`] composes [`synthesize_spec`] with this.
 /// Removes spuriously-failed operations (declared methods, Fail response,
 /// overlapping some other operation) from a history before witness search.
-/// Returns the reduced history and the removed ops as `(thread, position
-/// within thread)` pairs — which identify the matrix cells to drop from
-/// the sub-test whose specification the reduced history is checked
-/// against.
-fn reduce_spurious(history: &History, spurious: &[String]) -> (History, Vec<(usize, usize)>) {
+/// Returns the reduced history — the given one, borrowed, when nothing is
+/// removed — and the removed ops as `(thread, position within thread)`
+/// pairs, which identify the matrix cells to drop from the sub-test whose
+/// specification the reduced history is checked against.
+fn reduce_spurious<'h>(
+    history: &'h History,
+    spurious: &[String],
+) -> (Cow<'h, History>, Vec<(usize, usize)>) {
     if spurious.is_empty() {
-        return (history.clone(), Vec::new());
+        return (Cow::Borrowed(history), Vec::new());
     }
     let mut remove = std::collections::BTreeSet::new();
     for (i, op) in history.ops.iter().enumerate() {
@@ -587,7 +583,7 @@ fn reduce_spurious(history: &History, spurious: &[String]) -> (History, Vec<(usi
         }
     }
     if remove.is_empty() {
-        return (history.clone(), Vec::new());
+        return (Cow::Borrowed(history), Vec::new());
     }
     let mut removed_cells = Vec::new();
     for t in 0..history.thread_count {
@@ -597,7 +593,7 @@ fn reduce_spurious(history: &History, spurious: &[String]) -> (History, Vec<(usi
             }
         }
     }
-    (history.without_ops(&remove).0, removed_cells)
+    (Cow::Owned(history.without_ops(&remove).0), removed_cells)
 }
 
 /// Builds the sub-test obtained by dropping the given `(thread, position)`
@@ -639,8 +635,15 @@ pub fn check_against_spec<T: TestTarget>(
     spec: &ObservationSet,
     options: &CheckOptions,
 ) -> (Vec<Violation>, PhaseStats) {
+    // Per-specification products, shared by every bound below. The
+    // thread-symmetry structure of the test (empty when disabled) feeds
+    // both schedule pruning (masks, through the scheduler config) and the
+    // canonical verdict-cache keys.
+    let index = spec.index();
+    let groups = symmetry_groups_for(target, matrix, options);
+    let check_at = |bound| check_against_spec_at(target, matrix, &index, &groups, options, bound);
     if !options.iterative_bounding {
-        return check_against_spec_at(target, matrix, spec, options, options.preemption_bound);
+        return check_at(options.preemption_bound);
     }
     // Iterative context bounding: bounds 0, 1, …, preemption_bound (or an
     // unbounded final iteration when no bound is set).
@@ -652,7 +655,7 @@ pub fn check_against_spec<T: TestTarget>(
     let mut total = PhaseStats::default();
     let mut violations = Vec::new();
     for bound in bounds.drain(..) {
-        let (vs, stats) = check_against_spec_at(target, matrix, spec, options, bound);
+        let (vs, stats) = check_at(bound);
         // Saturating accumulation: the per-iteration counts are themselves
         // unbounded sums over exploration, so cap instead of wrapping.
         total.runs = total.runs.saturating_add(stats.runs);
@@ -694,23 +697,26 @@ pub fn check_against_spec<T: TestTarget>(
 fn check_against_spec_at<T: TestTarget>(
     target: &T,
     matrix: &TestMatrix,
-    spec: &ObservationSet,
+    index: &SpecIndex<'_>,
+    groups: &SymmetryGroups,
     options: &CheckOptions,
     preemption_bound: Option<usize>,
 ) -> (Vec<Violation>, PhaseStats) {
     // The work-stealing engine partitions the DFS schedule tree; sampling
     // strategies have no tree to partition and run serially.
     if options.workers > 1 && matches!(options.strategy, StrategyKind::Dfs) {
-        return check_against_spec_at_parallel(target, matrix, spec, options, preemption_bound);
+        return check_against_spec_at_parallel(
+            target,
+            matrix,
+            index,
+            groups,
+            options,
+            preemption_bound,
+        );
     }
     let start = std::time::Instant::now();
     let paths_before = monitor_path_snapshot(options);
-    let index = spec.index();
     let mut violations = Vec::new();
-    // Thread-symmetry structure of the test (empty when disabled): feeds
-    // both schedule pruning (masks, through the scheduler config) and the
-    // canonical verdict-cache keys below.
-    let groups = symmetry_groups_for(target, matrix, options);
     // Verdict cache: phase 2 visits the same history through many
     // schedules — and, under symmetry, through renamings — so each
     // canonical class needs only one witness search.
@@ -768,14 +774,8 @@ fn check_against_spec_at<T: TestTarget>(
                     keys.recycle(key);
                 } else {
                     full = full.saturating_add(1);
-                    let verdict = full_verdict(
-                        target,
-                        matrix,
-                        &index,
-                        options,
-                        &mut sub_specs,
-                        &run.history,
-                    );
+                    let verdict =
+                        full_verdict(target, matrix, index, options, &mut sub_specs, &run.history);
                     if verdict.is_violation() {
                         violations.push(Violation::NoWitness {
                             history: run.history.clone(),
@@ -792,14 +792,8 @@ fn check_against_spec_at<T: TestTarget>(
                     keys.recycle(key);
                 } else {
                     stuck = stuck.saturating_add(1);
-                    let verdict = stuck_verdict(
-                        target,
-                        matrix,
-                        &index,
-                        options,
-                        &mut sub_specs,
-                        &run.history,
-                    );
+                    let verdict =
+                        stuck_verdict(target, matrix, index, options, &mut sub_specs, &run.history);
                     if let CachedVerdict::StuckNoWitness { reduced, pending } = &verdict {
                         // Report the reduced history so the pending index
                         // refers to the checked history.
@@ -947,7 +941,7 @@ fn stuck_verdict<T: TestTarget>(
         for e in reduced.pending_ops() {
             if !monitor.0.check_stuck(&reduced, e, &options.async_methods) {
                 return CachedVerdict::StuckNoWitness {
-                    reduced,
+                    reduced: reduced.into_owned(),
                     pending: e,
                 };
             }
@@ -971,7 +965,7 @@ fn stuck_verdict<T: TestTarget>(
         };
         if missing {
             return CachedVerdict::StuckNoWitness {
-                reduced,
+                reduced: reduced.into_owned(),
                 pending: e,
             };
         }
@@ -1017,7 +1011,8 @@ struct Claim {
 fn check_against_spec_at_parallel<T: TestTarget>(
     target: &T,
     matrix: &TestMatrix,
-    spec: &ObservationSet,
+    index: &SpecIndex<'_>,
+    groups: &SymmetryGroups,
     options: &CheckOptions,
     preemption_bound: Option<usize>,
 ) -> (Vec<Violation>, PhaseStats) {
@@ -1040,8 +1035,14 @@ fn check_against_spec_at_parallel<T: TestTarget>(
             max_phase2_runs: Some(budget),
             ..options.clone()
         };
-        let (violations, mut stats) =
-            check_against_spec_at(target, matrix, spec, &probe_options, preemption_bound);
+        let (violations, mut stats) = check_against_spec_at(
+            target,
+            matrix,
+            index,
+            groups,
+            &probe_options,
+            preemption_bound,
+        );
         if stats.runs <= options.parallel_probe_runs {
             stats.probe_skips = 1;
             return (violations, stats);
@@ -1050,8 +1051,6 @@ fn check_against_spec_at_parallel<T: TestTarget>(
 
     let start = std::time::Instant::now();
     let paths_before = monitor_path_snapshot(options);
-    let index = spec.index();
-    let groups = symmetry_groups_for(target, matrix, options);
 
     let mut config = Config::exhaustive()
         .with_por(options.por)
@@ -1106,9 +1105,8 @@ fn check_against_spec_at_parallel<T: TestTarget>(
     std::thread::scope(|scope| {
         for w in 0..options.workers {
             let (pool, cancel, cache, claims) = (&pool, &cancel, &cache, &claims);
-            let groups = &groups;
             let (runs_done, process_run) = (&runs_done, &process_run);
-            let (full_count, stuck_count, index) = (&full_count, &stuck_count, &index);
+            let (full_count, stuck_count) = (&full_count, &stuck_count);
             let (budget_exhausted, worker_stats) = (&budget_exhausted, &worker_stats);
             let (config, panic_payload) = (&config, &panic_payload);
             scope.spawn(move || {
@@ -1264,7 +1262,7 @@ fn check_against_spec_at_parallel<T: TestTarget>(
                                                     &options.spurious_failures,
                                                 );
                                                 Violation::StuckNoWitness {
-                                                    history: reduced,
+                                                    history: reduced.into_owned(),
                                                     pending,
                                                     decisions: run.decisions.clone(),
                                                 }
@@ -1711,6 +1709,91 @@ mod tests {
     #[should_panic(expected = "workers must be at least 1")]
     fn zero_workers_rejected() {
         let _ = CheckOptions::new().with_workers(0);
+    }
+
+    /// The witness search of a check that declares no spurious failures —
+    /// or meets none — runs on the explored history itself, not a copy.
+    #[test]
+    fn reduce_spurious_borrows_when_nothing_is_removed() {
+        use crate::value::Value;
+        // `try` fails while overlapping `inc`; a later `try` fails alone.
+        let mut h = History::new(2);
+        let overlapped = h.push_call(0, Invocation::new("try"));
+        let inc = h.push_call(1, Invocation::new("inc"));
+        h.push_return(overlapped, Value::Fail);
+        h.push_return(inc, Value::Unit);
+        let alone = h.push_call(0, Invocation::new("try"));
+        h.push_return(alone, Value::Fail);
+
+        let (reduced, removed) = reduce_spurious(&h, &[]);
+        assert!(matches!(reduced, Cow::Borrowed(same) if std::ptr::eq(same, &h)));
+        assert!(removed.is_empty());
+        let (reduced, removed) = reduce_spurious(&h, &["inc".to_string()]);
+        assert!(matches!(reduced, Cow::Borrowed(same) if std::ptr::eq(same, &h)));
+        assert!(removed.is_empty());
+        // Only the overlapped failure is spurious.
+        let (reduced, removed) = reduce_spurious(&h, &["try".to_string()]);
+        assert!(matches!(reduced, Cow::Owned(_)));
+        assert_eq!(reduced.ops.len(), 2);
+        assert_eq!(removed, vec![(0, 0)]);
+    }
+
+    /// When every operation of a history fails spuriously, what is left is
+    /// the history without operations, checked against the specification
+    /// of the test without operations.
+    #[test]
+    fn a_history_whose_every_op_failed_spuriously_passes() {
+        use crate::target::{TestInstance, TestTarget};
+        use crate::value::Value;
+
+        /// An always-empty bag: `TryTake` looks (a schedule point, so two
+        /// of them can overlap) and fails.
+        struct EmptyBag;
+        struct EmptyBagInstance(lineup_sync::Atomic<i64>);
+        impl TestInstance for EmptyBagInstance {
+            fn invoke(&self, _: &Invocation) -> Value {
+                self.0.load();
+                Value::Fail
+            }
+        }
+        impl TestTarget for EmptyBag {
+            type Instance = EmptyBagInstance;
+            fn name(&self) -> &str {
+                "EmptyBag"
+            }
+            fn create(&self) -> EmptyBagInstance {
+                EmptyBagInstance(lineup_sync::Atomic::new(0))
+            }
+            fn invocations(&self) -> Vec<Invocation> {
+                vec![Invocation::new("TryTake")]
+            }
+        }
+
+        let m = TestMatrix::from_columns(vec![
+            vec![Invocation::new("TryTake")],
+            vec![Invocation::new("TryTake")],
+        ]);
+        let opts = CheckOptions::new().with_spurious_failures(["TryTake"]);
+        let report = check(&EmptyBag, &m, &opts);
+        assert!(report.passed(), "{:?}", report.violations);
+        // The case is met: some explored history has the two calls overlap.
+        let mut overlapped = History::new(2);
+        let a = overlapped.push_call(0, Invocation::new("TryTake"));
+        let b = overlapped.push_call(1, Invocation::new("TryTake"));
+        overlapped.push_return(a, Value::Fail);
+        overlapped.push_return(b, Value::Fail);
+        let (reduced, removed) = reduce_spurious(&overlapped, &opts.spurious_failures);
+        assert!(reduced.ops.is_empty());
+        assert_eq!(removed, vec![(0, 0), (1, 0)]);
+        let verdict = full_verdict(
+            &EmptyBag,
+            &m,
+            &report.spec.index(),
+            &opts,
+            &mut BTreeMap::new(),
+            &overlapped,
+        );
+        assert!(!verdict.is_violation());
     }
 
     #[test]

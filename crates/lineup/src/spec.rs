@@ -4,8 +4,7 @@
 use crate::history::History;
 use crate::target::Invocation;
 use crate::value::Value;
-use std::collections::BTreeMap;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// The outcome of one operation of a serial history.
@@ -112,6 +111,12 @@ impl SerialHistory {
         }
         key
     }
+
+    /// `self.thread_key()[t]`, borrowed.
+    pub(crate) fn thread_ops(&self, t: usize) -> impl Iterator<Item = (&Invocation, &Outcome)> {
+        let ops = self.ops.iter().filter(move |op| op.thread == t);
+        ops.map(|op| (&op.invocation, &op.outcome))
+    }
 }
 
 impl fmt::Display for SerialHistory {
@@ -201,28 +206,57 @@ impl ObservationSet {
     /// the *same* invocation on the *same* thread with *different*
     /// outcomes (different return values, or returning vs blocking).
     pub fn check_determinism(&self) -> Option<Nondeterminism> {
-        // Key: (serial prefix, thread, invocation) → (outcome, history).
-        type Key = (Vec<SpecOp>, usize, Invocation);
-        let mut seen: BTreeMap<Key, (&Outcome, &SerialHistory)> = BTreeMap::new();
-        for h in &self.histories {
-            for (i, op) in h.ops.iter().enumerate() {
-                let key = (h.ops[..i].to_vec(), op.thread, op.invocation.clone());
-                match seen.get(&key) {
-                    Some((outcome, other)) if *outcome != &op.outcome => {
-                        return Some(Nondeterminism {
-                            first: (*other).clone(),
-                            second: h.clone(),
-                            diverge_at: i,
-                        });
-                    }
-                    Some(_) => {}
-                    None => {
-                        seen.insert(key, (&op.outcome, h));
-                    }
+        // `SpecOp` orders by (thread, invocation, outcome), so in `ops`
+        // order — the set's own unless thread counts differ, and then the
+        // stable sort keeps set order among equal `ops` — the histories
+        // sharing a serial prefix and the next call, a *block*, are
+        // contiguous.
+        let mut order: Vec<&SerialHistory> = self.histories.iter().collect();
+        order.sort_by(|a, b| a.ops.cmp(&b.ops));
+        // blocks[d]: of the members so far of the previous history's block
+        // at depth `d`, the first in set order, and the first of those
+        // whose outcome at `d` is not that one's.
+        let mut blocks: Vec<(&SerialHistory, Option<&SerialHistory>)> = Vec::new();
+        let mut found: Option<(&SerialHistory, usize, &SerialHistory)> = None;
+        let mut prev: &[SpecOp] = &[];
+        for h in order.into_iter().map(Some).chain([None]) {
+            let ops = h.map_or(&[][..], |h| &h.ops);
+            let mut open = prev.iter().zip(ops).take_while(|(a, b)| a == b).count();
+            if let (Some(a), Some(b)) = (prev.get(open), ops.get(open)) {
+                open += usize::from(a.thread == b.thread && a.invocation == b.invocation);
+            }
+            // Deeper blocks end here. A map from (prefix, call) to the first
+            // outcome seen, filled in set order, meets its first conflict
+            // at the earliest `second` of all blocks, at its least depth.
+            while blocks.len() > open {
+                if let Some((first, Some(second))) = blocks.pop() {
+                    let conflict = (second, blocks.len(), first);
+                    found = Some(found.map_or(conflict, |other| other.min(conflict)));
                 }
             }
+            let Some(h) = h else { break };
+            // `h` follows every recorded member in `ops` order, so it is
+            // earlier in set order only by a smaller thread count.
+            let earlier = |other: &SerialHistory| h.thread_count < other.thread_count;
+            for (d, (first, second)) in blocks.iter_mut().enumerate() {
+                if h.ops[d].outcome == first.ops[d].outcome {
+                    if earlier(first) {
+                        *first = h;
+                    }
+                } else if earlier(first) {
+                    *second = Some(std::mem::replace(first, h));
+                } else if second.is_none_or(earlier) {
+                    *second = Some(h);
+                }
+            }
+            blocks.resize(h.ops.len(), (h, None));
+            prev = &h.ops;
         }
-        None
+        found.map(|(second, diverge_at, first)| Nondeterminism {
+            first: first.clone(),
+            second: second.clone(),
+            diverge_at,
+        })
     }
 
     /// Compares two observation sets, returning the serial histories only
@@ -251,11 +285,16 @@ impl ObservationSet {
 
     /// Builds the grouped index used for witness search in phase 2.
     pub fn index(&self) -> SpecIndex<'_> {
-        let mut groups: BTreeMap<ThreadKey, Vec<&SerialHistory>> = BTreeMap::new();
+        // Grouped under a key of references; each group's key is built once.
+        let mut groups: BTreeMap<Vec<Vec<_>>, Vec<&SerialHistory>> = BTreeMap::new();
         for h in &self.histories {
-            groups.entry(h.thread_key()).or_default().push(h);
+            let key = (0..h.thread_count).map(|t| h.thread_ops(t).collect());
+            groups.entry(key.collect()).or_default().push(h);
         }
-        SpecIndex { groups }
+        let groups = groups.into_values().map(|g| (g[0].thread_key(), g));
+        SpecIndex {
+            groups: groups.collect(),
+        }
     }
 }
 
@@ -422,6 +461,88 @@ mod tests {
         assert_eq!(idx.group_count(), 2);
         let key = serial(2, vec![op(0, "a", ret(0)), op(1, "b", ret(1))]).thread_key();
         assert_eq!(idx.candidates(&key).len(), 2);
+    }
+
+    /// `check_determinism` as it was before it became one pass over the
+    /// sorted set, kept verbatim as the oracle for the property below.
+    mod reference {
+        use super::*;
+
+        pub fn check_determinism(set: &ObservationSet) -> Option<Nondeterminism> {
+            // Key: (serial prefix, thread, invocation) → (outcome, history).
+            type Key = (Vec<SpecOp>, usize, Invocation);
+            let mut seen: BTreeMap<Key, (&Outcome, &SerialHistory)> = BTreeMap::new();
+            for h in &set.histories {
+                for (i, op) in h.ops.iter().enumerate() {
+                    let key = (h.ops[..i].to_vec(), op.thread, op.invocation.clone());
+                    match seen.get(&key) {
+                        Some((outcome, other)) if *outcome != &op.outcome => {
+                            return Some(Nondeterminism {
+                                first: (*other).clone(),
+                                second: h.clone(),
+                                diverge_at: i,
+                            });
+                        }
+                        Some(_) => {}
+                        None => {
+                            seen.insert(key, (&op.outcome, h));
+                        }
+                    }
+                }
+            }
+            None
+        }
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Serial histories over two threads, two methods and two return
+        /// values, so that among forty of them shared prefixes, the same
+        /// call with another outcome, returned-vs-pending pairs and stuck
+        /// tails are all common; `mixed` sets also vary the thread count.
+        fn set_strategy() -> impl Strategy<Value = ObservationSet> {
+            let step = (0usize..2, 0usize..2, 0i64..2);
+            let history = (prop::collection::vec(step, 0..5), 0usize..4, 2usize..4);
+            (prop::collection::vec(history, 1..41), any::<bool>()).prop_map(|(histories, mixed)| {
+                let serial = |(ops, tail, threads): (Vec<(usize, usize, i64)>, usize, usize)| {
+                    let mut ops: Vec<SpecOp> = (ops.into_iter())
+                        .map(|(t, name, v)| op(t, ["a", "b"][name], ret(v)))
+                        .collect();
+                    if let (Some(last), 0) = (ops.last_mut(), tail) {
+                        last.outcome = Outcome::Pending;
+                    }
+                    serial(if mixed { threads } else { 2 }, ops)
+                };
+                histories.into_iter().map(serial).collect()
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(2000))]
+
+            #[test]
+            fn determinism_check_matches_reference(set in set_strategy()) {
+                prop_assert_eq!(set.check_determinism(), reference::check_determinism(&set));
+            }
+
+            #[test]
+            fn index_matches_grouping_by_cloned_keys(set in set_strategy()) {
+                let mut groups: BTreeMap<ThreadKey, Vec<&SerialHistory>> = BTreeMap::new();
+                for h in set.iter() {
+                    groups.entry(h.thread_key()).or_default().push(h);
+                }
+                let index = set.index();
+                prop_assert_eq!(index.group_count(), groups.len());
+                for ((key, members), (want_key, want)) in index.iter().zip(&groups) {
+                    prop_assert_eq!(key, want_key);
+                    prop_assert!(members.iter().zip(want).all(|(a, b)| std::ptr::eq(*a, *b)));
+                    prop_assert_eq!(members.len(), want.len());
+                    prop_assert_eq!(index.candidates(key).len(), want.len());
+                }
+            }
+        }
     }
 
     #[test]

@@ -54,8 +54,7 @@ impl WitnessQuery {
             h.is_complete(),
             "use for_stuck on histories with pending ops"
         );
-        let included: Vec<OpIndex> = (0..h.ops.len()).collect();
-        Self::build_relaxed(h, &included, async_methods)
+        Self::build_relaxed(h, (0..h.ops.len()).collect(), async_methods)
     }
 
     /// Builds the query for `H[e]` where `e` is a pending operation of a
@@ -83,93 +82,98 @@ impl WitnessQuery {
         );
         let mut included = h.complete_ops();
         included.push(pending);
-        included.sort_by_key(|&i| h.ops[i].call_pos);
-        Self::build_relaxed(h, &included, async_methods)
+        Self::build_relaxed(h, included, async_methods)
     }
 
-    fn build_relaxed(h: &History, included: &[OpIndex], async_methods: &[String]) -> Self {
-        // Per-thread position of each included op (call order = thread
-        // subhistory order by well-formedness).
+    fn build_relaxed(h: &History, mut included: Vec<OpIndex>, async_methods: &[String]) -> Self {
+        // Thread-major, and call order (= thread subhistory order, by
+        // well-formedness) within a thread: ascending `ThreadPos`, so the
+        // edges below come out sorted.
+        included.sort_by_key(|&i| (h.ops[i].thread, h.ops[i].call_pos));
         let mut key: ThreadKey = vec![Vec::new(); h.thread_count];
-        let mut pos_of = vec![(0usize, 0usize); h.ops.len()];
-        let mut by_thread: Vec<Vec<OpIndex>> = vec![Vec::new(); h.thread_count];
-        let mut sorted = included.to_vec();
-        sorted.sort_by_key(|&i| h.ops[i].call_pos);
-        for &i in &sorted {
+        let mut pos_of = Vec::with_capacity(included.len());
+        for &i in &included {
             let op = &h.ops[i];
             let outcome = match &op.response {
                 Some(v) => Outcome::Returned(v.clone()),
                 None => Outcome::Pending,
             };
-            pos_of[i] = (op.thread, key[op.thread].len());
+            pos_of.push((op.thread, key[op.thread].len()));
             key[op.thread].push((op.invocation.clone(), outcome));
-            by_thread[op.thread].push(i);
         }
-        let mut edges: std::collections::BTreeSet<(ThreadPos, ThreadPos)> =
-            std::collections::BTreeSet::new();
-        for &a in &sorted {
-            // Asynchronous operations do not constrain later operations:
-            // their effect may linearize past their return.
-            if async_methods.contains(&h.ops[a].invocation.name) {
+        // `<H` as one bitset row per operation: succ[a] = { c | a <H c }
+        // and pred[c] = { a | a <H c }, without the pairs whose `a` is
+        // asynchronous — those operations do not constrain later ones,
+        // their effect may linearize past their return. (A query without
+        // operations has no rows; `chunks_exact` still needs a width.)
+        let words = included.len().div_ceil(64).max(1);
+        let mut succ = vec![0u64; included.len() * words];
+        let mut pred = succ.clone();
+        for (a, &ia) in included.iter().enumerate() {
+            if async_methods.contains(&h.ops[ia].invocation.name) {
                 continue;
             }
-            for &b in &sorted {
-                if a != b && h.precedes(a, b) {
-                    edges.insert((pos_of[a], pos_of[b]));
+            for (c, &ic) in included.iter().enumerate() {
+                if h.precedes(ia, ic) {
+                    succ[a * words + c / 64] |= 1 << (c % 64);
+                    pred[c * words + a / 64] |= 1 << (a % 64);
                 }
             }
         }
-        // Transitive reduction: an edge (a, c) implied by (a, b) and
-        // (b, c) is dropped. Any serial order satisfying the reduced set
-        // satisfies the dropped edges too (order is transitive), so
-        // witness verdicts are unchanged while `is_witness` checks fewer
-        // pairs — `<H` is dense for mostly-serial histories, with up to
-        // quadratically many edges for a linear reduction.
-        let mids: Vec<ThreadPos> = edges
-            .iter()
-            .flat_map(|&(x, y)| [x, y])
-            .collect::<std::collections::BTreeSet<_>>()
-            .into_iter()
-            .collect();
-        let precedence = edges
-            .iter()
-            .copied()
-            .filter(|&(a, c)| {
-                !mids.iter().any(|&b| {
-                    b != a && b != c && edges.contains(&(a, b)) && edges.contains(&(b, c))
-                })
-            })
-            .collect();
+        // Transitive reduction: an edge (a, c) is dropped when some b has
+        // (a, b) and (b, c). Any serial order satisfying the reduced set
+        // satisfies the dropped edges too, so witness verdicts are
+        // unchanged while each candidate is tested on fewer pairs — `<H`
+        // is dense for mostly-serial histories, with up to quadratically
+        // many edges for a linear reduction.
+        let mut precedence = Vec::new();
+        for (a, succ_a) in succ.chunks_exact(words).enumerate() {
+            for (c, pred_c) in pred.chunks_exact(words).enumerate() {
+                let edge = succ_a[c / 64] >> (c % 64) & 1 == 1;
+                if edge && succ_a.iter().zip(pred_c).all(|(s, p)| s & p == 0) {
+                    precedence.push((pos_of[a], pos_of[c]));
+                }
+            }
+        }
         WitnessQuery { key, precedence }
     }
+}
+
+/// The first of `candidates`, which all have the query's per-thread
+/// sequences, to order all precedence pairs correctly.
+fn first_ordered<'a>(
+    mut candidates: impl Iterator<Item = &'a SerialHistory>,
+    q: &WitnessQuery,
+) -> Option<&'a SerialHistory> {
+    // Position of each (thread, k) in the serial order of the candidate
+    // at hand: one table, refilled from candidate to candidate.
+    let mut pos: Vec<Vec<usize>> = (q.key.iter())
+        .map(|row| Vec::with_capacity(row.len()))
+        .collect();
+    candidates.find(|s| {
+        pos.iter_mut().for_each(Vec::clear);
+        for (serial_pos, op) in s.ops.iter().enumerate() {
+            pos[op.thread].push(serial_pos);
+        }
+        let mut pairs = q.precedence.iter();
+        pairs.all(|&((ta, ka), (tb, kb))| pos[ta][ka] < pos[tb][kb])
+    })
 }
 
 /// Whether the serial history `s` is a witness for the query: it must have
 /// the same per-thread sequences and order all precedence pairs correctly.
 pub fn is_witness(s: &SerialHistory, q: &WitnessQuery) -> bool {
-    if s.thread_key() != q.key {
-        return false;
-    }
-    // Position of each (thread, k) in the serial order.
-    let nthreads = q.key.len();
-    let mut pos: Vec<Vec<usize>> = vec![Vec::new(); nthreads];
-    for (serial_pos, op) in s.ops.iter().enumerate() {
-        pos[op.thread].push(serial_pos);
-    }
-    q.precedence
-        .iter()
-        .all(|&((ta, ka), (tb, kb))| pos[ta][ka] < pos[tb][kb])
+    let same = |(t, row): (usize, &Vec<_>)| s.thread_ops(t).eq(row.iter().map(|(i, o)| (i, o)));
+    s.thread_count == q.key.len()
+        && q.key.iter().enumerate().all(same)
+        && first_ordered([s].into_iter(), q).is_some()
 }
 
 /// Searches the indexed observation set for a witness; returns the first
 /// one found. Only the group with the query's per-thread key is scanned
-/// (paper §4.2).
+/// (paper §4.2): being in it is having those sequences.
 pub fn find_witness<'a>(index: &SpecIndex<'a>, q: &WitnessQuery) -> Option<&'a SerialHistory> {
-    index
-        .candidates(&q.key)
-        .iter()
-        .copied()
-        .find(|s| is_witness(s, q))
+    first_ordered(index.candidates(&q.key).iter().copied(), q)
 }
 
 #[cfg(test)]
@@ -477,6 +481,204 @@ mod tests {
         // Without the relaxation the edge is present.
         let strict = WitnessQuery::for_stuck_relaxed(&h, e, &[]);
         assert_eq!(strict.precedence, vec![((1, 0), (0, 0))]);
+    }
+
+    /// A history without operations — a test with empty columns, or one
+    /// whose every operation failed spuriously — has the empty query, which
+    /// the serial history without operations witnesses.
+    #[test]
+    fn query_for_a_history_without_operations() {
+        let h = History::new(2);
+        let q = WitnessQuery::for_full(&h);
+        assert_eq!(q, reference::build_relaxed(&h, &[], &[]));
+        assert_eq!(q.key, vec![vec![], vec![]]);
+        assert!(q.precedence.is_empty());
+        let mut spec = ObservationSet::new();
+        spec.insert(SerialHistory {
+            thread_count: 2,
+            ops: vec![],
+        });
+        assert!(find_witness(&spec.index(), &q).is_some());
+    }
+
+    /// Query construction and the witness test as they were before the
+    /// bitset reduction and the refilled position table, kept verbatim as
+    /// the oracles for the properties below.
+    mod reference {
+        use super::*;
+
+        pub fn build_relaxed(
+            h: &History,
+            included: &[OpIndex],
+            async_methods: &[String],
+        ) -> WitnessQuery {
+            // Per-thread position of each included op (call order = thread
+            // subhistory order by well-formedness).
+            let mut key: ThreadKey = vec![Vec::new(); h.thread_count];
+            let mut pos_of = vec![(0usize, 0usize); h.ops.len()];
+            let mut by_thread: Vec<Vec<OpIndex>> = vec![Vec::new(); h.thread_count];
+            let mut sorted = included.to_vec();
+            sorted.sort_by_key(|&i| h.ops[i].call_pos);
+            for &i in &sorted {
+                let op = &h.ops[i];
+                let outcome = match &op.response {
+                    Some(v) => Outcome::Returned(v.clone()),
+                    None => Outcome::Pending,
+                };
+                pos_of[i] = (op.thread, key[op.thread].len());
+                key[op.thread].push((op.invocation.clone(), outcome));
+                by_thread[op.thread].push(i);
+            }
+            let mut edges: std::collections::BTreeSet<(ThreadPos, ThreadPos)> =
+                std::collections::BTreeSet::new();
+            for &a in &sorted {
+                // Asynchronous operations do not constrain later operations:
+                // their effect may linearize past their return.
+                if async_methods.contains(&h.ops[a].invocation.name) {
+                    continue;
+                }
+                for &b in &sorted {
+                    if a != b && h.precedes(a, b) {
+                        edges.insert((pos_of[a], pos_of[b]));
+                    }
+                }
+            }
+            let mids: Vec<ThreadPos> = edges
+                .iter()
+                .flat_map(|&(x, y)| [x, y])
+                .collect::<std::collections::BTreeSet<_>>()
+                .into_iter()
+                .collect();
+            let precedence = edges
+                .iter()
+                .copied()
+                .filter(|&(a, c)| {
+                    !mids.iter().any(|&b| {
+                        b != a && b != c && edges.contains(&(a, b)) && edges.contains(&(b, c))
+                    })
+                })
+                .collect();
+            WitnessQuery { key, precedence }
+        }
+
+        pub fn is_witness(s: &SerialHistory, q: &WitnessQuery) -> bool {
+            if s.thread_key() != q.key {
+                return false;
+            }
+            // Position of each (thread, k) in the serial order.
+            let nthreads = q.key.len();
+            let mut pos: Vec<Vec<usize>> = vec![Vec::new(); nthreads];
+            for (serial_pos, op) in s.ops.iter().enumerate() {
+                pos[op.thread].push(serial_pos);
+            }
+            q.precedence
+                .iter()
+                .all(|&((ta, ka), (tb, kb))| pos[ta][ka] < pos[tb][kb])
+        }
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        const NAMES: [&str; 3] = ["a", "b", "c"];
+
+        /// A well-formed history over `threads` threads with up to `ops`
+        /// operations, driven by `script`: each number picks a thread,
+        /// which returns if it is inside a call and calls otherwise. With
+        /// `complete`, every call left open is returned at the end;
+        /// without, the history is stuck with those calls pending.
+        fn history(threads: usize, ops: usize, script: &[usize], complete: bool) -> History {
+            let mut h = History::new(threads);
+            let mut open: Vec<Option<OpIndex>> = vec![None; threads];
+            for &n in script {
+                let t = n % threads;
+                match open[t].take() {
+                    Some(op) => h.push_return(op, Value::Int((n / 7 % 3) as i64)),
+                    None if h.ops.len() < ops => {
+                        open[t] = Some(h.push_call(t, inv(NAMES[n / 5 % 3])));
+                    }
+                    None => {}
+                }
+            }
+            for op in open.into_iter().flatten().filter(|_| complete) {
+                h.push_return(op, Value::Unit);
+            }
+            h.stuck = !complete;
+            h
+        }
+
+        fn methods(mask: usize) -> Vec<String> {
+            let chosen = NAMES.iter().enumerate().filter(|(i, _)| mask >> i & 1 == 1);
+            chosen.map(|(_, name)| name.to_string()).collect()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(500))]
+
+            /// Up to 70 operations, so rows of more than one word occur.
+            #[test]
+            fn bitset_queries_match_reference(
+                threads in 1usize..5,
+                ops in 0usize..71,
+                script in prop::collection::vec(0usize..1000, 1..200),
+                async_mask in 0usize..8,
+            ) {
+                let asyncs = methods(async_mask);
+                let full = history(threads, ops, &script, true);
+                let included: Vec<OpIndex> = (0..full.ops.len()).collect();
+                prop_assert_eq!(
+                    WitnessQuery::for_full_relaxed(&full, &asyncs),
+                    reference::build_relaxed(&full, &included, &asyncs)
+                );
+                let stuck = history(threads, ops, &script, false);
+                for e in stuck.pending_ops() {
+                    let mut included = stuck.complete_ops();
+                    included.push(e);
+                    prop_assert_eq!(
+                        WitnessQuery::for_stuck_relaxed(&stuck, e, &asyncs),
+                        reference::build_relaxed(&stuck, &included, &asyncs)
+                    );
+                }
+            }
+
+            /// Candidates are random interleavings of the history's own
+            /// thread subhistories (some respect `<H`, some do not) and
+            /// of a variant with another outcome (another group).
+            #[test]
+            fn witness_scan_matches_reference(
+                threads in 1usize..4,
+                script in prop::collection::vec(0usize..1000, 1..24),
+                orders in prop::collection::vec(prop::collection::vec(0usize..1000, 8), 1..12),
+                async_mask in 0usize..8,
+            ) {
+                let h = history(threads, 8, &script, true);
+                let q = WitnessQuery::for_full_relaxed(&h, &methods(async_mask));
+                let mut spec = ObservationSet::new();
+                for (i, order) in orders.iter().enumerate() {
+                    let mut rows: Vec<_> = q.key.iter().map(|row| row.iter()).collect();
+                    let mut s = SerialHistory { thread_count: threads, ops: Vec::new() };
+                    for &n in order.iter().cycle().take(8 * threads) {
+                        if let Some((invocation, outcome)) = rows[n % threads].next() {
+                            let (invocation, outcome) = (invocation.clone(), outcome.clone());
+                            s.ops.push(SpecOp { thread: n % threads, invocation, outcome });
+                        }
+                    }
+                    if let (Some(last), 0) = (s.ops.last_mut(), i % 4) {
+                        last.outcome = ret(9);
+                    }
+                    spec.insert(s);
+                }
+                let index = spec.index();
+                let mut group = index.candidates(&q.key).iter().copied();
+                let want = group.find(|s| reference::is_witness(s, &q));
+                let found = find_witness(&index, &q);
+                prop_assert_eq!(found.map(std::ptr::from_ref), want.map(std::ptr::from_ref));
+                for s in spec.iter() {
+                    prop_assert_eq!(is_witness(s, &q), reference::is_witness(s, &q));
+                }
+            }
+        }
     }
 
     #[test]
