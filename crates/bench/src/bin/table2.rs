@@ -11,7 +11,7 @@
 //! ```
 //!
 //! `--workers W` (default 1) runs each phase-2 exploration itself in the
-//! prefix-partitioned parallel mode (`CheckOptions::with_workers`), on
+//! work-stealing parallel mode (`CheckOptions::with_workers`), on
 //! top of the existing test-level parallelism of the random-check driver.
 //!
 //! The paper runs 100 random 3×3 tests per class on an 8-core Xeon; the

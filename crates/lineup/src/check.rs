@@ -126,12 +126,6 @@ pub struct CheckOptions {
     /// determinism check and must match the paper's sequential
     /// enumeration.
     pub workers: usize,
-    /// Decision depth of the legacy static-frontier split
-    /// ([`lineup_sched::split_frontier`]; `None` uses
-    /// [`Config::DEFAULT_SPLIT_DEPTH`]). The work-stealing checker splits
-    /// dynamically and ignores this; it is kept for callers driving the
-    /// frontier API directly.
-    pub split_depth: Option<usize>,
     /// Dynamic partial-order reduction for phase 2 (default `true`):
     /// sleep sets plus happens-before-guided backtracking prune schedules
     /// that only reorder independent transitions, which cannot change the
@@ -172,13 +166,13 @@ pub struct CheckOptions {
     /// byte-identical across backends (`tests/backend_equivalence.rs`
     /// asserts this).
     pub backend: Backend,
-    /// Run estimate below which parallel exploration skips frontier
-    /// splitting and runs serially (default 256): a tiny schedule tree is
-    /// explored faster by one worker than by replaying prefixes into
-    /// every subtree. Measured by probing the serial exploration up to
-    /// this many runs before committing to a split; `runs` is identical
-    /// either way. `0` disables the probe and always splits. Only read
-    /// when [`workers`](CheckOptions::workers) `> 1`.
+    /// Run estimate below which parallel exploration skips the
+    /// work-stealing pool and runs serially (default 256): a tiny schedule
+    /// tree is explored faster by one worker than by starting workers that
+    /// replay stolen prefixes. Measured by probing the serial exploration
+    /// up to this many runs before committing to the pool; `runs` is
+    /// identical either way. `0` disables the probe and always starts the
+    /// pool. Only read when [`workers`](CheckOptions::workers) `> 1`.
     pub parallel_probe_runs: u64,
     /// Alternative witness backend (see [`HistoryMonitor`]). When set,
     /// phase 2 asks the monitor for every history verdict instead of
@@ -216,7 +210,6 @@ impl CheckOptions {
             async_methods: Vec::new(),
             spurious_failures: Vec::new(),
             workers: 1,
-            split_depth: None,
             por: true,
             symmetry: true,
             fast_path: true,
@@ -279,13 +272,6 @@ impl CheckOptions {
     pub fn with_workers(mut self, n: usize) -> Self {
         assert!(n >= 1, "workers must be at least 1");
         self.workers = n;
-        self
-    }
-
-    /// Sets the frontier split depth for parallel exploration (see
-    /// [`CheckOptions::split_depth`]), builder style.
-    pub fn with_split_depth(mut self, depth: usize) -> Self {
-        self.split_depth = Some(depth);
         self
     }
 
@@ -426,12 +412,6 @@ pub struct PhaseStats {
     /// Baton handoffs performed through a wakeup slot (cross-thread
     /// switches, plus every step when the fast path is disabled).
     pub handoffs: u64,
-    /// Runs spent re-executing decision prefixes during the legacy static
-    /// frontier enumeration. The work-stealing checker never enumerates a
-    /// frontier, so this is always zero for both serial and parallel
-    /// checks; it is kept so reports remain comparable with historical
-    /// data from the frontier era.
-    pub frontier_replays: u64,
     /// Subtrees split off by victims servicing steal requests during a
     /// parallel (work-stealing) exploration. Always zero for serial
     /// checks. At least [`steals`](Self::steals): every claimed stolen
@@ -669,9 +649,6 @@ pub fn check_against_spec<T: TestTarget>(
         total.total_steps = total.total_steps.saturating_add(stats.total_steps);
         total.fast_path_steps = total.fast_path_steps.saturating_add(stats.fast_path_steps);
         total.handoffs = total.handoffs.saturating_add(stats.handoffs);
-        total.frontier_replays = total
-            .frontier_replays
-            .saturating_add(stats.frontier_replays);
         total.splits = total.splits.saturating_add(stats.splits);
         total.steals = total.steals.saturating_add(stats.steals);
         total.idle_parks = total.idle_parks.saturating_add(stats.idle_parks);
@@ -1365,7 +1342,6 @@ fn check_against_spec_at_parallel<T: TestTarget>(
         total_steps: sched_stats.total_steps,
         fast_path_steps: sched_stats.fast_path_steps,
         handoffs: sched_stats.handoffs,
-        frontier_replays: 0,
         splits: sched_stats.splits,
         steals: sched_stats.steals,
         idle_parks: sched_stats.idle_parks,
@@ -1616,9 +1592,8 @@ mod tests {
         assert_eq!(serial.phase2.stuck_histories, par.phase2.stuck_histories);
         // A stolen task's prefix replays inside its first run, never as an
         // extra one, so the run count is identical to the serial
-        // exploration's — and no eager frontier enumeration ever happens.
+        // exploration's.
         assert_eq!(par.phase2.runs, serial.phase2.runs);
-        assert_eq!(par.phase2.frontier_replays, 0, "no eager prefix runs");
         assert!(
             par.phase2.steal_replays <= par.phase2.steals,
             "replays only for claimed steals: {} <= {}",
@@ -1631,7 +1606,6 @@ mod tests {
             par.phase2.steals,
             par.phase2.splits,
         );
-        assert_eq!(serial.phase2.frontier_replays, 0);
         assert_eq!(serial.phase2.splits, 0);
         assert_eq!(serial.phase2.steals, 0);
         assert_eq!(serial.phase2.idle_parks, 0);

@@ -119,10 +119,6 @@ pub struct MatrixRun {
     /// The access log (empty unless the configuration records accesses);
     /// consumed by the `lineup-checkers` comparison checkers.
     pub access_log: Vec<lineup_sched::AccessEvent>,
-    /// Per-decision sleep-set additions under partial-order reduction
-    /// (empty without POR), parallel to `decisions`; shipped with stolen
-    /// subtree prefixes during parallel phase-2 exploration.
-    pub slept: Vec<u64>,
 }
 
 /// Explores the schedules of `matrix` against `target` under the given
@@ -238,7 +234,6 @@ fn explore_matrix_impl<T: TestTarget>(
             preemptions: run.preemptions,
             decisions: run.decisions.clone(),
             access_log: run.access_log.clone(),
-            slept: run.slept.clone(),
         })
     };
     match strategy {

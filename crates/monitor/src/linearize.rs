@@ -802,8 +802,8 @@ mod tests {
     fn replay_oracle_memo_fires_on_commuting_operations() {
         // Regression: the memo key used the oracle state directly, and a
         // ReplayOracle state is the whole trace — no two linearization
-        // orders ever compared equal, so `BENCH_monitorcmp.json` reported
-        // `memo_hits: 0` for every class. With the canonical suffix-
+        // orders ever compared equal, so `MonitorStats::memo_hits` stayed
+        // 0 for every class. With the canonical suffix-
         // signature key, the three inc orders collapse and the exhaustive
         // rejection below must register hits.
         use crate::oracle::ReplayOracle;

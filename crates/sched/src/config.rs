@@ -96,25 +96,6 @@ pub enum StrategyKind {
         /// The recorded decision indexes.
         decisions: Vec<usize>,
     },
-    /// Depth-first search restricted to the subtree rooted at a fixed
-    /// decision prefix (see
-    /// [`PrefixDfsStrategy`](crate::strategy::PrefixDfsStrategy)): the
-    /// prefix is replayed at the start of every run and the DFS backtracks
-    /// only beyond it. The unit of work of parallel exploration: every
-    /// task claimed from a [`StealPool`](crate::explorer::StealPool) —
-    /// whether the seed task or a stolen subtree — is explored as a
-    /// prefix DFS.
-    PrefixDfs {
-        /// The decision prefix identifying the subtree.
-        prefix: Vec<usize>,
-        /// Per-decision sleep-set masks accumulated along the prefix by
-        /// the victim at the moment of the split (see
-        /// [`DfsStrategy::split_deepest`](crate::strategy::DfsStrategy));
-        /// empty when partial-order reduction is off. Thieves replaying
-        /// the prefix re-install these masks so they do not re-explore
-        /// subtrees the victim's sleep set already covers.
-        sleep: Vec<u64>,
-    },
     /// Coverage-guided schedule fuzzing (see the
     /// [`coverage`](crate::coverage) module): runs fold per-decision
     /// coverage signatures into a shared bitmap, novel runs enter a
@@ -129,18 +110,6 @@ pub enum StrategyKind {
         /// Seed for mutation planning and random tails: a fixed seed
         /// reproduces the exact run sequence.
         seed: u64,
-    },
-    /// Enumerates the disjoint subtree roots at decision depth `depth`
-    /// (see [`FrontierStrategy`](crate::strategy::FrontierStrategy)): one
-    /// run per depth-`depth` decision prefix, always taking the first
-    /// alternative beyond the frontier. Legacy partitioner used by
-    /// [`split_frontier`](crate::explorer::split_frontier); the checker's
-    /// parallel mode now splits subtrees dynamically via
-    /// [`StealingStrategy`](crate::explorer::StealingStrategy) instead,
-    /// which replays prefixes only when a steal actually happens.
-    Frontier {
-        /// The split depth (number of leading decisions to enumerate).
-        depth: usize,
     },
 }
 
@@ -169,18 +138,6 @@ pub struct Config {
     /// Whether to record the full access log (needed by the §5.6
     /// comparison checkers; Line-Up itself does not need it).
     pub record_accesses: bool,
-    /// Number of OS worker threads exploring disjoint schedule subtrees
-    /// concurrently, coordinated by a work-stealing
-    /// [`StealPool`](crate::explorer::StealPool). `1` (the default) means
-    /// serial exploration; [`explore`](crate::explore) itself always runs
-    /// serially regardless of this setting.
-    pub workers: usize,
-    /// Decision depth at which the *legacy* static partitioner
-    /// [`split_frontier`](crate::explorer::split_frontier) cuts the
-    /// schedule tree. `None` uses [`Config::DEFAULT_SPLIT_DEPTH`]. The
-    /// work-stealing scheduler ignores this: it splits at the victim's
-    /// deepest unexplored branch point, wherever that happens to be.
-    pub split_depth: Option<usize>,
     /// Whether partial-order reduction (sleep sets + happens-before
     /// backtracking, see the [`por`](crate::por) module) prunes
     /// Mazurkiewicz-equivalent schedules. Defaults to `true`, but only
@@ -225,13 +182,6 @@ pub struct Config {
 }
 
 impl Config {
-    /// Default split depth for the legacy static frontier partitioner
-    /// (see [`Config::split_depth`]): deep enough to yield many more
-    /// subtrees than workers on typical 2–3-thread tests, shallow enough
-    /// that the serial frontier enumeration stays a negligible fraction
-    /// of the exploration.
-    pub const DEFAULT_SPLIT_DEPTH: usize = 4;
-
     /// Default usable fiber stack size (see [`Config::fiber_stack_size`]):
     /// 1 MiB, comfortably above what instrumented collection operations
     /// need even in debug builds, while a few fibers per exploration keep
@@ -248,8 +198,6 @@ impl Config {
             max_steps: 20_000,
             livelock_rounds: 4,
             record_accesses: false,
-            workers: 1,
-            split_depth: None,
             por: true,
             symmetry: Vec::new(),
             fast_path: true,
@@ -329,38 +277,6 @@ impl Config {
         self
     }
 
-    /// Explores the subtree rooted at the given decision prefix with DFS
-    /// (see [`StrategyKind::PrefixDfs`]).
-    pub fn prefix_dfs(prefix: Vec<usize>) -> Self {
-        Config {
-            strategy: StrategyKind::PrefixDfs {
-                prefix,
-                sleep: Vec::new(),
-            },
-            ..Config::exhaustive()
-        }
-    }
-
-    /// Sets [`Config::workers`], builder style. `n` must be at least 1.
-    pub fn with_workers(mut self, n: usize) -> Self {
-        assert!(n >= 1, "workers must be at least 1");
-        self.workers = n;
-        self
-    }
-
-    /// Sets [`Config::split_depth`], builder style.
-    pub fn with_split_depth(mut self, depth: usize) -> Self {
-        self.split_depth = Some(depth);
-        self
-    }
-
-    /// The legacy frontier split depth in effect (see
-    /// [`Config::split_depth`]); the work-stealing scheduler does not
-    /// consult it.
-    pub fn effective_split_depth(&self) -> usize {
-        self.split_depth.unwrap_or(Self::DEFAULT_SPLIT_DEPTH)
-    }
-
     /// Sets [`Config::por`], builder style.
     pub fn with_por(mut self, por: bool) -> Self {
         self.por = por;
@@ -406,8 +322,8 @@ impl Config {
     }
 
     /// Whether partial-order reduction is actually applied: it requires
-    /// [`Config::por`], concurrent mode, *no* preemption bound, and an
-    /// exhaustive strategy (DFS, prefix DFS, or frontier enumeration).
+    /// [`Config::por`], concurrent mode, *no* preemption bound, and the
+    /// exhaustive [`StrategyKind::Dfs`] strategy.
     ///
     /// Preemption-bounded exploration keeps POR off because sleep sets are
     /// unsound under a preemption bound: the representative schedule of an
@@ -425,16 +341,13 @@ impl Config {
         self.por
             && self.mode == Mode::Concurrent
             && self.preemption_bound.is_none()
-            && matches!(
-                self.strategy,
-                StrategyKind::Dfs | StrategyKind::PrefixDfs { .. } | StrategyKind::Frontier { .. }
-            )
+            && self.strategy == StrategyKind::Dfs
     }
 
     /// Whether symmetry reduction is actually applied: it requires
     /// non-empty [`Config::symmetry`] groups and the same exhaustive-
     /// concurrent gate as [`Config::effective_por`] — concurrent mode, no
-    /// preemption bound, and a DFS / prefix-DFS / frontier strategy.
+    /// preemption bound, and the DFS strategy.
     ///
     /// The gating reasons mirror POR's. Under a preemption bound, pruning
     /// a sibling ordering is unsound for the same reason sleep sets are:
@@ -450,10 +363,7 @@ impl Config {
         !self.symmetry.is_empty()
             && self.mode == Mode::Concurrent
             && self.preemption_bound.is_none()
-            && matches!(
-                self.strategy,
-                StrategyKind::Dfs | StrategyKind::PrefixDfs { .. } | StrategyKind::Frontier { .. }
-            )
+            && self.strategy == StrategyKind::Dfs
     }
 }
 
@@ -492,20 +402,6 @@ mod tests {
         let c = Config::default();
         assert_eq!(c.mode, Mode::Concurrent);
         assert_eq!(c.preemption_bound, None);
-        assert_eq!(c.workers, 1);
-        assert_eq!(c.split_depth, None);
-    }
-
-    #[test]
-    fn worker_and_split_builders() {
-        let c = Config::exhaustive().with_workers(4).with_split_depth(6);
-        assert_eq!(c.workers, 4);
-        assert_eq!(c.split_depth, Some(6));
-        assert_eq!(c.effective_split_depth(), 6);
-        assert_eq!(
-            Config::exhaustive().effective_split_depth(),
-            Config::DEFAULT_SPLIT_DEPTH
-        );
     }
 
     #[test]
@@ -516,29 +412,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "workers must be at least 1")]
-    fn zero_workers_rejected() {
-        let _ = Config::exhaustive().with_workers(0);
-    }
-
-    #[test]
-    fn prefix_dfs_constructor() {
-        let c = Config::prefix_dfs(vec![1, 0, 2]);
-        assert!(matches!(
-            c.strategy,
-            StrategyKind::PrefixDfs { ref prefix, .. } if prefix == &[1, 0, 2]
-        ));
-    }
-
-    #[test]
     fn por_defaults_on_for_exhaustive_strategies() {
         assert!(Config::exhaustive().effective_por());
-        assert!(Config::prefix_dfs(vec![0]).effective_por());
-        let frontier = Config {
-            strategy: StrategyKind::Frontier { depth: 3 },
-            ..Config::exhaustive()
-        };
-        assert!(frontier.effective_por());
     }
 
     #[test]
@@ -598,19 +473,6 @@ mod tests {
             };
             assert!(!c.effective_symmetry());
         }
-        let prefix = Config {
-            strategy: StrategyKind::PrefixDfs {
-                prefix: vec![0],
-                sleep: Vec::new(),
-            },
-            ..sym.clone()
-        };
-        assert!(prefix.effective_symmetry());
-        let frontier = Config {
-            strategy: StrategyKind::Frontier { depth: 2 },
-            ..sym
-        };
-        assert!(frontier.effective_symmetry());
     }
 
     #[test]

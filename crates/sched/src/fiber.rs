@@ -10,7 +10,7 @@
 //! footprint settlement, enabled-set and livelock checks, strategy
 //! consultation, decision recording) is shared with the OS-thread backend
 //! and executes unchanged, so schedules, histories, sleep sets, and
-//! frontier partitions are byte-identical across backends.
+//! work-stealing partitions are byte-identical across backends.
 //!
 //! # Context switch
 //!
@@ -233,8 +233,8 @@ mod imp {
 
     /// Per-exploration fiber runtime: the fibers of the current run, the
     /// controller's saved context, and the stack pool. Owned by the
-    /// exploring (controller) OS thread; parallel workers each own their
-    /// own `FiberRt`, so `explore_parallel` composes.
+    /// exploring (controller) OS thread; work-stealing workers each own
+    /// their own `FiberRt`.
     pub struct FiberRt {
         shared: Arc<Shared>,
         fibers: Vec<Fiber>,

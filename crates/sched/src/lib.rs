@@ -75,9 +75,8 @@ pub use config::{Backend, Config, Mode, StrategyKind};
 pub use coverage::{CoverageCounters, CoverageShared, CoverageStrategy, COVERAGE_MAP_BITS};
 pub use events::{AccessEvent, AccessKind};
 pub use explorer::{
-    explore, explore_parallel, explore_with_strategy, split_frontier, AbandonConfirm, Execution,
-    ExploreStats, LexCancel, ParallelCancel, RunResult, StealPool, StealSkip, StealTask,
-    StealingStrategy, SubtreeTask,
+    explore, explore_with_strategy, AbandonConfirm, Execution, ExploreStats, LexCancel, RunResult,
+    StealPool, StealSkip, StealTask, StealingStrategy,
 };
 pub use ids::{ObjId, ThreadId};
 pub use native::{register_native_thread, NativeGuard, NativeOptions};

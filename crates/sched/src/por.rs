@@ -290,10 +290,6 @@ pub(crate) struct PorRun {
     pub foot: Footprint,
     /// Declared pending transition per thread.
     pub pending: Vec<Pending>,
-    /// Per-decision sleep additions, parallel to the run's `decisions`;
-    /// shipped with stolen subtree prefixes so parallel workers inherit
-    /// the sleep sets a serial DFS would have at the subtree root.
-    pub slept_log: Vec<u64>,
 }
 
 fn bit(t: usize) -> u64 {
@@ -357,7 +353,6 @@ impl PorRun {
         self.cur_node = None;
         self.foot.clear();
         self.pending.fill(Pending::NoObj);
-        self.slept_log.clear();
     }
 
     /// Sizes the clocks and pending declarations for a run of `n` threads

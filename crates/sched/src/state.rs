@@ -517,7 +517,6 @@ impl RtState {
                     "the strategy must choose an awake, unmasked candidate"
                 );
                 if let Some(por) = &mut self.por {
-                    por.slept_log.push(choice.slept);
                     por.sleep |= choice.slept;
                     por.sleep &= !(1u64 << candidates[choice.index]);
                     por.cur_node = choice.node;
@@ -716,11 +715,6 @@ impl RtState {
         let strategy = self.strategy.as_mut().expect("strategy present during run");
         let idx = strategy.choose(2);
         self.decisions.push(idx);
-        if let Some(por) = &mut self.por {
-            // Keep the slept log parallel to `decisions` (boolean choices
-            // never add sleepers).
-            por.slept_log.push(0);
-        }
         let value = idx == 1;
         self.schedule.push(Choice::Bool(value));
         if self.config.record_accesses {

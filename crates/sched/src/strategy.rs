@@ -102,15 +102,14 @@ pub trait Strategy {
 /// additions when replayed.
 #[derive(Debug, Default)]
 pub struct DfsStrategy {
-    path: DfsPath,
+    /// The decision path of the current run, root first.
+    nodes: Vec<DfsNode>,
+    /// The candidate lists of the thread nodes on the path, back to back.
+    /// Nodes are pushed and popped at the deep end only, so their lists
+    /// are too, and a new node never allocates one of its own.
+    cands: Vec<usize>,
     cursor: usize,
     por: bool,
-    /// With POR: expand every awake candidate instead of only the
-    /// backtrack-demanded ones. Used by the frontier region of a parallel
-    /// exploration, where demands discovered by workers below the
-    /// frontier cannot flow back (sleep sets alone are a complete
-    /// reduction; backtrack sets are a further restriction).
-    full_expansion: bool,
     backtracks: u64,
     /// Largest decision depth seen, for statistics.
     pub max_depth: usize,
@@ -135,7 +134,7 @@ enum DfsNode {
 #[derive(Debug, Clone)]
 struct ThreadNode {
     /// The candidate thread ids, in runtime order, are
-    /// `cands[first..first + len]` of the [`DfsPath`] holding this node.
+    /// `cands[first..first + len]` of the [`DfsStrategy`] holding this node.
     first: usize,
     len: usize,
     /// Index into the candidates of the branch being explored.
@@ -212,75 +211,6 @@ impl ThreadNode {
     }
 }
 
-/// The decision path of a depth-first search, shared by [`DfsStrategy`]
-/// and [`FrontierStrategy`]: the node stack, and the candidate lists of
-/// its thread nodes back to back in one second stack. Nodes are pushed
-/// and popped at the deep end only, so their lists are too, and a new
-/// node never allocates one of its own.
-#[derive(Debug, Default)]
-struct DfsPath {
-    nodes: Vec<DfsNode>,
-    cands: Vec<usize>,
-}
-
-/// Position of the first candidate not in `cur_sleep`.
-fn first_awake(candidates: &[usize], cur_sleep: u64) -> usize {
-    candidates
-        .iter()
-        .position(|&t| cur_sleep & bit(t) == 0)
-        .expect("caller guarantees an awake candidate")
-}
-
-impl DfsPath {
-    /// Pushes the node of a thread choice reached for the first time, on
-    /// its first awake candidate, and returns that candidate's position.
-    fn push_thread(&mut self, candidates: &[usize], cur_sleep: u64, full: bool) -> usize {
-        let chosen = first_awake(candidates, cur_sleep);
-        let first = self.cands.len();
-        self.cands.extend_from_slice(candidates);
-        self.nodes.push(DfsNode::Thread(ThreadNode {
-            first,
-            len: candidates.len(),
-            chosen,
-            done: 0,
-            backtrack: bit(candidates[chosen]),
-            sleep_entry: cur_sleep,
-            full,
-            stolen: 0,
-        }));
-        chosen
-    }
-
-    /// Moves the deepest node that still has an unexplored branch onto
-    /// that branch, popping the exhausted nodes below it. Returns `false`
-    /// when the whole tree is explored.
-    fn advance(&mut self) -> bool {
-        while let Some(last) = self.nodes.last_mut() {
-            match last {
-                DfsNode::Plain {
-                    num_alts,
-                    chosen,
-                    stolen,
-                } => {
-                    if *chosen + 1 < *num_alts - *stolen {
-                        *chosen += 1;
-                        return true;
-                    }
-                }
-                DfsNode::Thread(tn) => {
-                    if tn.advance(&self.cands) {
-                        return true;
-                    }
-                }
-            }
-            if let Some(DfsNode::Thread(tn)) = self.nodes.pop() {
-                self.cands.truncate(tn.first);
-            }
-        }
-        false
-    }
-}
-
 /// A subtree carved off a live DFS by [`DfsStrategy::split_deepest`]: the
 /// decision prefix addressing it plus the per-decision sleep masks a serial
 /// DFS would have accumulated on entry, so a thief exploring it with
@@ -326,7 +256,7 @@ impl DfsStrategy {
     /// stolen-branch-is-last invariant holds for the rest of the victim's
     /// exploration.
     pub fn split_deepest(&mut self) -> Option<StolenSubtree> {
-        let DfsPath { nodes, cands } = &mut self.path;
+        let (nodes, cands) = (&mut self.nodes, &self.cands);
         let split = (0..nodes.len()).rev().find(|&i| match &nodes[i] {
             DfsNode::Plain {
                 num_alts,
@@ -391,8 +321,7 @@ impl DfsStrategy {
     /// to the position the strategy has advanced to (the request may have
     /// been raised against a run the strategy already moved past).
     pub fn current_decisions(&self) -> Vec<usize> {
-        self.path
-            .nodes
+        self.nodes
             .iter()
             .map(|node| match node {
                 DfsNode::Plain { chosen, .. } => *chosen,
@@ -409,12 +338,12 @@ impl Strategy for DfsStrategy {
 
     fn choose(&mut self, num_alts: usize) -> usize {
         debug_assert!(num_alts >= 2);
-        if self.cursor < self.path.nodes.len() {
+        if self.cursor < self.nodes.len() {
             let DfsNode::Plain {
                 num_alts: n,
                 chosen,
                 ..
-            } = self.path.nodes[self.cursor]
+            } = self.nodes[self.cursor]
             else {
                 panic!(
                     "nondeterministic replay: a thread choice became a \
@@ -429,13 +358,13 @@ impl Strategy for DfsStrategy {
             self.cursor += 1;
             chosen
         } else {
-            self.path.nodes.push(DfsNode::Plain {
+            self.nodes.push(DfsNode::Plain {
                 num_alts,
                 chosen: 0,
                 stolen: 0,
             });
             self.cursor += 1;
-            self.max_depth = self.max_depth.max(self.path.nodes.len());
+            self.max_depth = self.max_depth.max(self.nodes.len());
             0
         }
     }
@@ -459,16 +388,16 @@ impl Strategy for DfsStrategy {
         // deterministic function of the decision prefix, so a node created
         // with a mask is revisited with the same mask. Without POR there
         // are no backtrack demands, so such nodes must expand fully.
-        if self.cursor < self.path.nodes.len() {
+        if self.cursor < self.nodes.len() {
             let node_id = self.cursor;
-            let DfsNode::Thread(tn) = &self.path.nodes[node_id] else {
+            let DfsNode::Thread(tn) = &self.nodes[node_id] else {
                 panic!(
                     "nondeterministic replay: a boolean choice became a \
                      thread choice given the same schedule prefix"
                 );
             };
             assert_eq!(
-                tn.candidates(&self.path.cands),
+                tn.candidates(&self.cands),
                 candidates,
                 "nondeterministic replay: the candidate threads must match \
                  given the same schedule prefix"
@@ -484,24 +413,37 @@ impl Strategy for DfsStrategy {
                 node: Some(node_id),
             }
         } else {
-            let full = self.full_expansion || !self.por;
-            let chosen = self.path.push_thread(candidates, cur_sleep, full);
+            let chosen = candidates
+                .iter()
+                .position(|&t| cur_sleep & bit(t) == 0)
+                .expect("caller guarantees an awake candidate");
+            let first = self.cands.len();
+            self.cands.extend_from_slice(candidates);
+            self.nodes.push(DfsNode::Thread(ThreadNode {
+                first,
+                len: candidates.len(),
+                chosen,
+                done: 0,
+                backtrack: bit(candidates[chosen]),
+                sleep_entry: cur_sleep,
+                full: !self.por,
+                stolen: 0,
+            }));
             self.cursor += 1;
-            self.max_depth = self.max_depth.max(self.path.nodes.len());
+            self.max_depth = self.max_depth.max(self.nodes.len());
             PorChoice {
                 index: chosen,
                 slept: 0,
-                node: Some(self.path.nodes.len() - 1),
+                node: Some(self.nodes.len() - 1),
             }
         }
     }
 
     fn add_backtrack(&mut self, node: usize, thread: usize) {
-        let DfsPath { nodes, cands } = &mut self.path;
-        let DfsNode::Thread(tn) = &mut nodes[node] else {
+        let DfsNode::Thread(tn) = &mut self.nodes[node] else {
             return;
         };
-        let candidates = tn.candidates(cands);
+        let candidates = tn.candidates(&self.cands);
         // FG-DPOR: demand `thread` where it was a candidate; otherwise
         // (it was excluded, e.g. right after its own yield) demand every
         // candidate so no reordering is lost.
@@ -524,10 +466,34 @@ impl Strategy for DfsStrategy {
     fn end_run(&mut self) -> bool {
         debug_assert_eq!(
             self.cursor,
-            self.path.nodes.len(),
+            self.nodes.len(),
             "run must consume its whole path"
         );
-        self.path.advance()
+        // Move the deepest node that still has an unexplored branch onto
+        // that branch, popping the exhausted nodes below it.
+        while let Some(last) = self.nodes.last_mut() {
+            match last {
+                DfsNode::Plain {
+                    num_alts,
+                    chosen,
+                    stolen,
+                } => {
+                    if *chosen + 1 < *num_alts - *stolen {
+                        *chosen += 1;
+                        return true;
+                    }
+                }
+                DfsNode::Thread(tn) => {
+                    if tn.advance(&self.cands) {
+                        return true;
+                    }
+                }
+            }
+            if let Some(DfsNode::Thread(tn)) = self.nodes.pop() {
+                self.cands.truncate(tn.first);
+            }
+        }
+        false
     }
 }
 
@@ -603,19 +569,19 @@ impl Strategy for ReplayStrategy {
 /// prefix: every run replays the prefix verbatim, and the DFS explores only
 /// the decisions beyond it.
 ///
-/// This is the unit of work of the parallel phase-2 exploration: the
-/// schedule tree is partitioned into disjoint subtrees by the frontier
-/// prefixes enumerated by [`FrontierStrategy`], and each worker explores
-/// one subtree with this strategy. The union of the runs over all frontier
-/// prefixes is exactly the set of runs a plain [`DfsStrategy`] performs,
-/// each exactly once.
+/// This is the unit of work of the parallel phase-2 exploration: the root
+/// task has the empty prefix, a victim carves further subtrees off its live
+/// search with [`split_deepest`](PrefixDfsStrategy::split_deepest), and
+/// each worker explores one subtree at a time with this strategy. The
+/// union of the runs over all tasks is exactly the set of runs a plain
+/// [`DfsStrategy`] performs, each exactly once.
 #[derive(Debug)]
 pub struct PrefixDfsStrategy {
     prefix: Vec<usize>,
     /// Sleep-set masks to re-install along the prefix (parallel to
-    /// `prefix`; missing entries mean no sleep additions). Recorded by the
-    /// frontier enumeration so the worker's subtree inherits exactly the
-    /// sleep set a serial exploration would have at the subtree root.
+    /// `prefix`; missing entries mean no sleep additions). Computed at the
+    /// split so the worker's subtree inherits exactly the sleep set a
+    /// serial exploration would have at the subtree root.
     sleep: Vec<u64>,
     cursor: usize,
     dfs: DfsStrategy,
@@ -688,7 +654,7 @@ impl Strategy for PrefixDfsStrategy {
             debug_assert!(
                 idx < num_alts,
                 "prefix decision out of range: the prefix must come from a \
-                 frontier run of the same deterministic program"
+                 split of the same deterministic program"
             );
             idx.min(num_alts - 1)
         } else {
@@ -709,7 +675,7 @@ impl Strategy for PrefixDfsStrategy {
             debug_assert!(
                 idx < candidates.len(),
                 "prefix decision out of range: the prefix must come from a \
-                 frontier run of the same deterministic program"
+                 split of the same deterministic program"
             );
             PorChoice {
                 index: idx.min(candidates.len() - 1),
@@ -723,8 +689,8 @@ impl Strategy for PrefixDfsStrategy {
 
     fn add_backtrack(&mut self, node: usize, thread: usize) {
         // Demands targeting the prefix region carry `node: None` and never
-        // reach here; the frontier enumeration expands every awake
-        // candidate there, so nothing is lost.
+        // reach here; the victim promoted those nodes to full expansion at
+        // the split, so nothing is lost.
         self.dfs.add_backtrack(node, thread);
     }
 
@@ -734,148 +700,6 @@ impl Strategy for PrefixDfsStrategy {
 
     fn end_run(&mut self) -> bool {
         self.dfs.end_run()
-    }
-}
-
-/// Enumerates the *frontier* of the choice tree: a DFS that backtracks only
-/// within the first `limit` decisions of each run and always takes the
-/// first alternative beyond them.
-///
-/// Each run's first `min(decisions, limit)` decision indexes form one
-/// frontier prefix; across the whole exploration the prefixes are pairwise
-/// disjoint subtree roots that jointly cover the tree. Runs with fewer than
-/// `limit` decisions contribute their full decision list (a singleton
-/// subtree).
-#[derive(Debug)]
-pub struct FrontierStrategy {
-    limit: usize,
-    por: bool,
-    path: DfsPath,
-    cursor: usize,
-}
-
-impl FrontierStrategy {
-    /// Creates a frontier enumeration splitting at depth `limit`.
-    pub fn new(limit: usize) -> Self {
-        FrontierStrategy {
-            limit,
-            por: false,
-            path: DfsPath::default(),
-            cursor: 0,
-        }
-    }
-
-    /// Creates a POR-enabled frontier enumeration: within the frontier,
-    /// thread-choice nodes carry sleep sets and expand every *awake*
-    /// candidate (no backtrack-set restriction — demands from workers
-    /// exploring below the frontier cannot flow back, and sleep sets
-    /// alone are a complete reduction); beyond it, the first awake
-    /// candidate is taken. The per-decision sleep additions end up in
-    /// [`RunResult::slept`](crate::RunResult) for the workers to inherit.
-    pub fn new_por(limit: usize) -> Self {
-        FrontierStrategy {
-            limit,
-            por: true,
-            path: DfsPath::default(),
-            cursor: 0,
-        }
-    }
-}
-
-impl Strategy for FrontierStrategy {
-    fn begin_run(&mut self) {
-        self.cursor = 0;
-    }
-
-    fn choose(&mut self, num_alts: usize) -> usize {
-        debug_assert!(num_alts >= 2);
-        if self.cursor < self.path.nodes.len() {
-            let DfsNode::Plain {
-                num_alts: n,
-                chosen,
-                ..
-            } = self.path.nodes[self.cursor]
-            else {
-                panic!(
-                    "nondeterministic replay: a thread choice became a \
-                     boolean choice given the same schedule prefix"
-                );
-            };
-            assert_eq!(
-                n, num_alts,
-                "nondeterministic replay: the program must make the same \
-                 choices given the same schedule prefix"
-            );
-            self.cursor += 1;
-            chosen
-        } else if self.cursor < self.limit {
-            self.path.nodes.push(DfsNode::Plain {
-                num_alts,
-                chosen: 0,
-                stolen: 0,
-            });
-            self.cursor += 1;
-            0
-        } else {
-            // Beyond the frontier: always the first alternative, without
-            // recording a backtrack point.
-            self.cursor += 1;
-            0
-        }
-    }
-
-    fn choose_thread_por(
-        &mut self,
-        candidates: &[usize],
-        cur_sleep: u64,
-        step: usize,
-    ) -> PorChoice {
-        // As in `DfsStrategy`: a non-zero mask without POR means symmetry
-        // masked some siblings, which a frontier node must honor too.
-        if !self.por && cur_sleep == 0 {
-            return PorChoice {
-                index: self.choose_thread(candidates, step),
-                slept: 0,
-                node: None,
-            };
-        }
-        if self.cursor < self.path.nodes.len() {
-            let node_id = self.cursor;
-            let DfsNode::Thread(tn) = &self.path.nodes[node_id] else {
-                panic!(
-                    "nondeterministic replay: a boolean choice became a \
-                     thread choice given the same schedule prefix"
-                );
-            };
-            assert_eq!(
-                tn.candidates(&self.path.cands),
-                candidates,
-                "nondeterministic replay: the candidate threads must match \
-                 given the same schedule prefix"
-            );
-            self.cursor += 1;
-            PorChoice {
-                index: tn.chosen,
-                slept: tn.done,
-                node: None,
-            }
-        } else {
-            let chosen = if self.cursor < self.limit {
-                self.path.push_thread(candidates, cur_sleep, true)
-            } else {
-                first_awake(candidates, cur_sleep)
-            };
-            self.cursor += 1;
-            PorChoice {
-                index: chosen,
-                slept: 0,
-                node: None,
-            }
-        }
-    }
-
-    fn end_run(&mut self) -> bool {
-        self.path.advance()
     }
 }
 
@@ -1188,74 +1012,6 @@ mod tests {
         assert_eq!(sub.choose(2), 1);
         assert_eq!(sub.choose(2), 0);
         assert!(!sub.end_run());
-    }
-
-    #[test]
-    fn frontier_enumerates_disjoint_covering_prefixes() {
-        let arities = [2usize, 3, 2];
-        let mut frontier = FrontierStrategy::new(2);
-        let prefixes: Vec<Vec<usize>> = collect_leaves(&mut frontier, &arities)
-            .into_iter()
-            .map(|leaf| leaf[..2].to_vec())
-            .collect();
-        // All 2×3 depth-2 paths, each exactly once, in DFS order.
-        let expected: Vec<Vec<usize>> = (0..2)
-            .flat_map(|a| (0..3).map(move |b| vec![a, b]))
-            .collect();
-        assert_eq!(prefixes, expected);
-    }
-
-    #[test]
-    fn frontier_deeper_than_tree_yields_full_paths() {
-        let arities = [2usize, 2];
-        let mut frontier = FrontierStrategy::new(10);
-        let leaves = collect_leaves(&mut frontier, &arities);
-        let dfs_leaves = collect_leaves(&mut DfsStrategy::new(), &arities);
-        assert_eq!(leaves, dfs_leaves);
-    }
-
-    /// The partition property the parallel exploration relies on: the
-    /// subtree explorations over all frontier prefixes together visit
-    /// exactly the leaves of the plain DFS, each exactly once, and
-    /// concatenating them in prefix order reproduces the DFS order.
-    #[test]
-    fn frontier_plus_prefix_dfs_partitions_the_tree() {
-        // A dependent tree: later arities depend on earlier choices.
-        fn run(strategy: &mut dyn Strategy) -> Vec<usize> {
-            let mut path = Vec::new();
-            let first = strategy.choose(3);
-            path.push(first);
-            if first == 0 {
-                path.push(strategy.choose(2));
-                path.push(strategy.choose(2));
-            } else {
-                path.push(strategy.choose(4));
-            }
-            path
-        }
-        fn collect(strategy: &mut dyn Strategy) -> Vec<Vec<usize>> {
-            let mut leaves = Vec::new();
-            loop {
-                strategy.begin_run();
-                leaves.push(run(strategy));
-                if !strategy.end_run() {
-                    break;
-                }
-            }
-            leaves
-        }
-        let serial = collect(&mut DfsStrategy::new());
-
-        let depth = 2;
-        let prefixes: Vec<Vec<usize>> = collect(&mut FrontierStrategy::new(depth))
-            .into_iter()
-            .map(|leaf| leaf[..leaf.len().min(depth)].to_vec())
-            .collect();
-        let mut combined = Vec::new();
-        for prefix in prefixes {
-            combined.extend(collect(&mut PrefixDfsStrategy::new(prefix)));
-        }
-        assert_eq!(combined, serial);
     }
 
     /// The dependent-arity tree used by the split tests: later arities

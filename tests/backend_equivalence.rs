@@ -183,12 +183,6 @@ fn backend_equivalence_holds_under_two_workers() {
                 .with_parallel_probe_runs(0),
         );
         assert_identical(entry.name, &fib, &os);
-        assert_eq!(
-            fib.phase2.frontier_replays, 0,
-            "{}: no eager prefix re-execution under work stealing",
-            entry.name
-        );
-        assert_eq!(os.phase2.frontier_replays, 0);
         checked += 1;
     }
     assert!(checked >= 5, "expected the seeded variants, got {checked}");

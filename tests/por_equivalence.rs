@@ -70,7 +70,7 @@ fn matrix_for(entry: &ClassEntry, all: &[ClassEntry]) -> TestMatrix {
 /// Shrinks a matrix so the *unreduced* exhaustive baseline stays feasible
 /// in a debug-build test: at most two columns of at most two operations
 /// (the reduction factors in `EXPERIMENTS.md` are measured on the full
-/// matrices by the `phase2` bench instead). Equivalence on the truncated
+/// matrices instead). Equivalence on the truncated
 /// test still exercises the class's real operations and conflicts.
 fn small(mut m: TestMatrix) -> TestMatrix {
     m.columns.truncate(2);

@@ -12,11 +12,14 @@
 //! threads and the cross-backend comparisons hold trivially.
 
 use std::ops::ControlFlow;
+use std::sync::Arc;
 
-use lineup::{explore_matrix, History, TestMatrix};
+use lineup::{explore_matrix, AdtKind, History, TestMatrix};
 use lineup_collections::concurrent_queue::{fig1_matrix, ConcurrentQueueTarget};
+use lineup_collections::hinted_queue::{fuzz4x4_matrix, HintedQueueTarget};
 use lineup_collections::registry::Variant;
-use lineup_sched::{Backend, Config};
+use lineup_monitor::adt_monitor_backend;
+use lineup_sched::{Backend, Config, RunOutcome};
 
 /// Budget small enough for a debug-build test, large enough that the
 /// coverage strategy's corpus fills and mutated runs dominate (the
@@ -97,4 +100,58 @@ fn pct_campaign_is_deterministic() {
 #[test]
 fn random_campaign_is_deterministic() {
     assert_campaign_deterministic("random", || Config::random(42, RUNS));
+}
+
+/// Runs executed until the monitor rejects a recorded history of the 4×4
+/// hinted queue, or `None` when `config`'s run budget ends first. The
+/// verdict comes from the monitor, not a synthesized specification: phase 1
+/// is infeasible at 4×4.
+fn runs_to_violation(variant: Variant, config: &Config) -> Option<u64> {
+    let target = HintedQueueTarget { variant };
+    let matrix = fuzz4x4_matrix();
+    let monitor = adt_monitor_backend(Arc::new(target), &matrix, Some(AdtKind::Queue));
+    // Tracked here, not through `stats.stopped_early`, which an exhausted
+    // run budget sets too.
+    let mut found = false;
+    let stats = explore_matrix(&target, &matrix, config, |run| {
+        let history = &run.history;
+        let linearizable = match run.outcome {
+            RunOutcome::Complete => monitor.check_full(history, &[]),
+            RunOutcome::Deadlock | RunOutcome::Livelock | RunOutcome::StuckSerial => history
+                .pending_ops()
+                .into_iter()
+                .all(|e| monitor.check_stuck(history, e, &[])),
+            RunOutcome::Pruned => true,
+            RunOutcome::Panicked { .. } | RunOutcome::StepLimit => false,
+        };
+        if linearizable {
+            ControlFlow::Continue(())
+        } else {
+            found = true;
+            ControlFlow::Break(())
+        }
+    });
+    found.then_some(stats.runs)
+}
+
+/// The seeded deep bug of the 4×4 hinted queue is out of exhaustive
+/// search's reach; every Coverage trial must crack it well inside a hard
+/// run budget (finds sit near 100–150 runs), and the same budget on the
+/// fixed queue must convict nothing.
+#[test]
+fn coverage_cracks_the_seeded_4x4_hinted_queue_bug() {
+    const BUDGET: u64 = 5_000;
+    for trial in 0..3 {
+        let seed = 100 + trial;
+        let found = runs_to_violation(Variant::Pre, &Config::coverage(seed, BUDGET));
+        assert!(
+            found.is_some(),
+            "coverage seed {seed} spent {BUDGET} runs without finding the seeded bug"
+        );
+    }
+    assert_eq!(
+        runs_to_violation(Variant::Fixed, &Config::coverage(100, BUDGET)),
+        None,
+        "the fixed queue must not be convicted"
+    );
 }

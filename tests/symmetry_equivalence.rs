@@ -78,7 +78,7 @@ fn matrix_for(entry: &ClassEntry, all: &[ClassEntry]) -> TestMatrix {
 
 /// Shrinks a matrix so the unreduced exhaustive baseline stays feasible
 /// in a debug-build test (the reduction factors in `EXPERIMENTS.md` are
-/// measured on the full matrices by the `phase2` bench instead).
+/// measured on the full matrices instead).
 fn small(mut m: TestMatrix) -> TestMatrix {
     m.columns.truncate(2);
     if let Some(c) = m.columns.first_mut() {
