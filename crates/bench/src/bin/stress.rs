@@ -1,10 +1,10 @@
-//! Native stress benchmark: real-thread execution with online
+//! Native stress check: real-thread execution with online
 //! linearizability monitoring (`lineup-monitor`), on fixed and seeded
 //! collection classes.
 //!
 //! ```text
-//! cargo run --release -p lineup-bench --bin stress [--json] [--out PATH]
-//!     [--runs N] [--threads T] [--seed S] [--emit PATH] [--no-symmetry]
+//! cargo run --release -p lineup-bench --bin stress
+//!     [--runs N] [--threads T] [--seed S] [--emit PATH]
 //! ```
 //!
 //! `--emit PATH` additionally streams every run as wire-format events
@@ -12,51 +12,25 @@
 //! through the online monitoring service:
 //! `lineup-server --replay PATH`.
 //!
-//! Unlike the model-checking benchmarks this samples *real* OS-thread
-//! interleavings (with seeded yield injection): fixed classes must stay
-//! green across every run, and the seeded "(Pre)" dictionary should
-//! trip the monitor within the run budget. Monitors are annotated with
-//! each workload's ADT kind, so checks of unambiguous histories take
-//! the specialized log-linear path and the rest fall back to Wing–Gong.
-//! Reports, per workload, the execution rate (runs/second), the monitor
-//! throughput (history checks/second), the duplicate-history cache
-//! hit-rate (runs whose verdict was served without monitor work), the
-//! memo hit-rate of the fallback search, and the specialized/fallback
-//! split; `--json` additionally writes `BENCH_stress.json` (or
-//! `--out PATH`).
+//! Unlike the model checker this samples *real* OS-thread interleavings
+//! (with seeded yield injection): fixed classes must stay green across
+//! every run, and the seeded "(Pre)" dictionary must trip the monitor
+//! within the run budget; the process exits 1 otherwise. Monitors are
+//! annotated with each workload's ADT kind, so checks of unambiguous
+//! histories take the specialized log-linear path and the rest fall back
+//! to Wing–Gong. Reports, per workload, the runs, distinct histories,
+//! violations, the specialized/fallback split and the verdict.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use lineup::{AdtKind, Invocation, TestMatrix, TestTarget};
-use lineup_bench::{arg_flag, arg_num, arg_value, fmt_duration, TextTable};
+use lineup_bench::{arg_num, arg_value, TextTable};
 use lineup_collections::concurrent_dictionary::ConcurrentDictionaryTarget;
 use lineup_collections::concurrent_queue::ConcurrentQueueTarget;
 use lineup_collections::Variant;
-use lineup_monitor::{run_stress, Monitor, ReplayOracle, StressOptions};
+use lineup_monitor::{run_stress, Monitor, ReplayOracle, StressOptions, StressReport};
 use lineup_wire::StreamRecorder;
-
-struct Sample {
-    workload: String,
-    seeded: bool,
-    runs: usize,
-    ops: u64,
-    distinct: usize,
-    stuck_runs: usize,
-    violations: usize,
-    wall_seconds: f64,
-    runs_per_sec: f64,
-    monitor_checks: u64,
-    monitor_wall_seconds: f64,
-    checks_per_sec: f64,
-    history_cache_hits: u64,
-    cache_hit_rate: f64,
-    oracle_steps: u64,
-    memo_hits: u64,
-    memo_hit_rate: f64,
-    specialized_checks: u64,
-    fallback_checks: u64,
-}
 
 /// `threads` columns of TryAdds on distinct keys, Count at the end: the
 /// final count must equal the number of threads — the seeded variant's
@@ -90,7 +64,7 @@ fn queue_matrix(threads: usize) -> TestMatrix {
 
 #[allow(clippy::too_many_arguments)]
 fn measure<T>(
-    workload: &str,
+    workload: &'static str,
     seeded: bool,
     target: T,
     kind: AdtKind,
@@ -98,7 +72,7 @@ fn measure<T>(
     runs: usize,
     seed: u64,
     recorder: Option<Arc<StreamRecorder>>,
-) -> Sample
+) -> (&'static str, bool, StressReport)
 where
     T: TestTarget + Clone + Send + Sync + 'static,
     T::Instance: Send + Sync + 'static,
@@ -121,42 +95,13 @@ where
             stop_at_first_violation: seeded,
             run_timeout: Duration::from_secs(5),
             recorder,
-            // Canonical (thread-symmetric) verdict-cache keys unless the
-            // escape hatch is set.
-            symmetry: !arg_flag("--no-symmetry"),
             ..StressOptions::default()
         },
     );
-    let wall = report.wall.as_secs_f64();
-    let monitor_wall = report.monitor_wall.as_secs_f64();
-    let stats = &report.monitor_stats;
-    let memo_lookups = stats.memo_hits + stats.oracle_steps;
-    Sample {
-        workload: workload.to_string(),
-        seeded,
-        runs: report.runs,
-        ops: report.ops,
-        distinct: report.distinct_histories,
-        stuck_runs: report.stuck_runs,
-        violations: report.violations.len(),
-        wall_seconds: wall,
-        runs_per_sec: report.runs as f64 / wall.max(1e-9),
-        monitor_checks: report.monitor_checks,
-        monitor_wall_seconds: monitor_wall,
-        checks_per_sec: report.monitor_checks as f64 / monitor_wall.max(1e-9),
-        history_cache_hits: report.history_cache_hits,
-        cache_hit_rate: report.history_cache_hits as f64 / (report.runs as f64).max(1.0),
-        oracle_steps: stats.oracle_steps,
-        memo_hits: stats.memo_hits,
-        memo_hit_rate: stats.memo_hits as f64 / (memo_lookups as f64).max(1.0),
-        specialized_checks: stats.paths.specialized_checks,
-        fallback_checks: stats.paths.fallback_checks,
-    }
+    (workload, seeded, report)
 }
 
 fn main() {
-    let json = arg_flag("--json");
-    let out_path = arg_value("--out").unwrap_or_else(|| "BENCH_stress.json".into());
     let runs: usize = arg_num("--runs", 2000);
     let threads: usize = arg_num("--threads", 2);
     let seed: u64 = arg_num("--seed", 1);
@@ -168,7 +113,7 @@ fn main() {
         }))
     });
 
-    let samples = vec![
+    let workloads = [
         measure(
             "dictionary_fixed",
             false,
@@ -215,112 +160,36 @@ fn main() {
         }
     }
 
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-
     let mut table = TextTable::new(&[
         "workload",
         "runs",
         "histories",
         "violations",
-        "wall",
-        "runs/sec",
-        "checks/sec",
-        "cache hits",
-        "memo rate",
         "fast path",
         "fallback",
         "verdict",
     ]);
     let mut failed = false;
-    for s in &samples {
-        let verdict = if s.seeded {
-            if s.violations > 0 {
-                "detected"
-            } else {
-                failed = true;
-                "MISSED"
-            }
-        } else if s.violations == 0 {
-            "green"
-        } else {
-            failed = true;
-            "VIOLATION"
+    for (workload, seeded, report) in &workloads {
+        let verdict = match (seeded, report.passed()) {
+            (true, false) => "detected",
+            (true, true) => "MISSED",
+            (false, true) => "green",
+            (false, false) => "VIOLATION",
         };
+        failed |= *seeded == report.passed();
         table.row(vec![
-            s.workload.clone(),
-            s.runs.to_string(),
-            s.distinct.to_string(),
-            s.violations.to_string(),
-            fmt_duration(Duration::from_secs_f64(s.wall_seconds)),
-            format!("{:.0}", s.runs_per_sec),
-            format!("{:.0}", s.checks_per_sec),
-            format!(
-                "{} ({:.0}%)",
-                s.history_cache_hits,
-                100.0 * s.cache_hit_rate
-            ),
-            format!("{:.0}%", 100.0 * s.memo_hit_rate),
-            s.specialized_checks.to_string(),
-            s.fallback_checks.to_string(),
+            workload.to_string(),
+            report.runs.to_string(),
+            report.distinct_histories.to_string(),
+            report.violations.len().to_string(),
+            report.monitor_stats.paths.specialized_checks.to_string(),
+            report.monitor_stats.paths.fallback_checks.to_string(),
             verdict.to_string(),
         ]);
     }
-    println!(
-        "Native stress with online monitoring ({threads} thread(s), seed {seed}, {cores} core(s))"
-    );
+    println!("Native stress with online monitoring ({threads} thread(s), seed {seed})");
     println!("{}", table.render());
-
-    if json {
-        let mut out = String::from("{\n");
-        out.push_str("  \"benchmark\": \"native-stress\",\n");
-        out.push_str(&format!("  \"cpu_cores\": {cores},\n"));
-        out.push_str(&format!("  \"threads\": {threads},\n"));
-        out.push_str(&format!("  \"seed\": {seed},\n"));
-        out.push_str("  \"results\": [\n");
-        for (i, s) in samples.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"workload\": \"{}\", \"seeded\": {}, \"runs\": {}, \
-                 \"ops\": {}, \"distinct_histories\": {}, \"stuck_runs\": {}, \
-                 \"violations\": {}, \"wall_seconds\": {:.6}, \
-                 \"runs_per_sec\": {:.1}, \"monitor_checks\": {}, \
-                 \"monitor_wall_seconds\": {:.6}, \"monitor_checks_per_sec\": {:.1}, \
-                 \"history_cache_hits\": {}, \"cache_hit_rate\": {:.4}, \
-                 \"oracle_steps\": {}, \"memo_hits\": {}, \"memo_hit_rate\": {:.4}, \
-                 \"specialized_checks\": {}, \"fallback_checks\": {}}}{}\n",
-                s.workload,
-                s.seeded,
-                s.runs,
-                s.ops,
-                s.distinct,
-                s.stuck_runs,
-                s.violations,
-                s.wall_seconds,
-                s.runs_per_sec,
-                s.monitor_checks,
-                s.monitor_wall_seconds,
-                s.checks_per_sec,
-                s.history_cache_hits,
-                s.cache_hit_rate,
-                s.oracle_steps,
-                s.memo_hits,
-                s.memo_hit_rate,
-                s.specialized_checks,
-                s.fallback_checks,
-                if i + 1 < samples.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        match std::fs::write(&out_path, &out) {
-            Ok(()) => println!("wrote {out_path}"),
-            Err(e) => {
-                eprintln!("failed to write {out_path}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-
     if failed {
         std::process::exit(1);
     }

@@ -6,7 +6,7 @@ use std::borrow::Cow;
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -16,7 +16,7 @@ use lineup_sched::{
 };
 
 use crate::adt::MonitorPathStats;
-use crate::harness::{explore_matrix, explore_matrix_with_strategy};
+use crate::harness::{explore_matrix, explore_matrix_with_strategy, MatrixRun};
 use crate::history::{History, HistoryCache, HistoryKey, OpIndex};
 use crate::matrix::{SymmetryGroups, TestMatrix};
 use crate::spec::{Nondeterminism, ObservationSet, SerialHistory, SpecIndex};
@@ -82,14 +82,6 @@ pub struct CheckOptions {
     /// Stop at the first violation (default) or keep exploring and report
     /// all distinct violations.
     pub stop_at_first_violation: bool,
-    /// Iterative context bounding (Musuvathi & Qadeer, PLDI 2007 — the
-    /// search order CHESS itself uses): run phase 2 at preemption bounds
-    /// 0, 1, …, [`preemption_bound`](CheckOptions::preemption_bound) in
-    /// sequence, stopping at the first violation. Shallow bugs are found
-    /// with the fewest preemptions (smallest counterexamples) and with
-    /// less exploration; the final iteration gives the same coverage as a
-    /// direct bounded search.
-    pub iterative_bounding: bool,
     /// Methods declared *asynchronous*: their effects may linearize after
     /// the method has returned (the paper's §6 future-work item on
     /// "asynchronous methods, such as the cancel method", and the shape of
@@ -109,22 +101,20 @@ pub struct CheckOptions {
     /// BlockingCollection's intentional behaviour pass. Use sparingly: it
     /// weakens the check for the listed methods.
     pub spurious_failures: Vec<String>,
-    /// Number of OS worker threads for phase-2 exploration. `1` (the
-    /// default) runs the classic serial depth-first search; `n > 1` runs a
-    /// work-stealing exploration: one worker starts on the whole schedule
-    /// tree, and an idle worker flags a victim (chosen by deterministic
-    /// round-robin) which splits its *deepest unexplored branch point* —
-    /// shipping the decision prefix plus accumulated sleep sets so
-    /// partial-order reduction stays sound across the steal. Prefix
-    /// replays happen only on actual steals, lazily on the thief's side.
-    /// The set of violation histories is identical to the serial one, and
-    /// with
+    /// Number of phase-2 workers of the work-stealing exploration (default
+    /// 1). Worker 0 runs on the calling thread and starts on the whole
+    /// schedule tree; workers `1..n` are scoped OS threads. An idle worker
+    /// flags a victim (chosen by deterministic round-robin) which splits
+    /// its *deepest unexplored branch point* — shipping the decision
+    /// prefix plus accumulated sleep sets so partial-order reduction stays
+    /// sound across the steal. Prefix replays happen only on actual
+    /// steals, lazily on the thief's side. The set of violation histories
+    /// is the same at every worker count, and with
     /// [`stop_at_first_violation`](CheckOptions::stop_at_first_violation)
-    /// the reported violation is the serial one too (the lexicographically
-    /// least violating decision vector wins deterministically). Phase 1
-    /// always runs serially: its observation-set insertion order feeds the
-    /// determinism check and must match the paper's sequential
-    /// enumeration.
+    /// so is the reported violation (the lexicographically least violating
+    /// decision vector wins deterministically). Phase 1 always runs on one
+    /// thread: its observation-set insertion order feeds the determinism
+    /// check and must match the paper's sequential enumeration.
     pub workers: usize,
     /// Dynamic partial-order reduction for phase 2 (default `true`):
     /// sleep sets plus happens-before-guided backtracking prune schedules
@@ -166,13 +156,13 @@ pub struct CheckOptions {
     /// byte-identical across backends (`tests/backend_equivalence.rs`
     /// asserts this).
     pub backend: Backend,
-    /// Run estimate below which parallel exploration skips the
-    /// work-stealing pool and runs serially (default 256): a tiny schedule
-    /// tree is explored faster by one worker than by starting workers that
-    /// replay stolen prefixes. Measured by probing the serial exploration
-    /// up to this many runs before committing to the pool; `runs` is
-    /// identical either way. `0` disables the probe and always starts the
-    /// pool. Only read when [`workers`](CheckOptions::workers) `> 1`.
+    /// Run estimate below which a multi-worker check runs on one worker
+    /// (default 256): a tiny schedule tree is explored faster by one
+    /// worker than by starting workers that replay stolen prefixes.
+    /// Measured by probing a one-worker exploration up to this many runs
+    /// before starting the peers; `runs` is identical either way. `0`
+    /// disables the probe and always starts the peers. Only read when
+    /// [`workers`](CheckOptions::workers) `> 1`.
     pub parallel_probe_runs: u64,
     /// Alternative witness backend (see [`HistoryMonitor`]). When set,
     /// phase 2 asks the monitor for every history verdict instead of
@@ -206,7 +196,6 @@ impl CheckOptions {
             preemption_bound: Some(2),
             max_phase2_runs: None,
             stop_at_first_violation: true,
-            iterative_bounding: false,
             async_methods: Vec::new(),
             spurious_failures: Vec::new(),
             workers: 1,
@@ -235,13 +224,6 @@ impl CheckOptions {
     /// Collect all violations instead of stopping at the first.
     pub fn collect_all_violations(mut self) -> Self {
         self.stop_at_first_violation = false;
-        self
-    }
-
-    /// Enables iterative context bounding (see
-    /// [`CheckOptions::iterative_bounding`]).
-    pub fn with_iterative_bounding(mut self) -> Self {
-        self.iterative_bounding = true;
         self
     }
 
@@ -413,26 +395,27 @@ pub struct PhaseStats {
     /// switches, plus every step when the fast path is disabled).
     pub handoffs: u64,
     /// Subtrees split off by victims servicing steal requests during a
-    /// parallel (work-stealing) exploration. Always zero for serial
+    /// multi-worker exploration. Always zero for one-worker
     /// checks. At least [`steals`](Self::steals): every claimed stolen
     /// task was split off first, but a split task may go unclaimed when
     /// the exploration is cancelled early.
     pub splits: u64,
     /// Stolen subtree tasks actually claimed by a thief worker. Always
-    /// zero for serial checks.
+    /// zero for one-worker checks.
     pub steals: u64,
-    /// Times a worker parked waiting for work during a parallel
+    /// Times a worker parked waiting for work during a multi-worker
     /// exploration (one per wait, so a long idle period counts many
-    /// parks). Always zero for serial checks.
+    /// parks). Always zero for one-worker checks.
     pub idle_parks: u64,
     /// Prefix replays begun for claimed stolen tasks — the lazy,
     /// thief-side re-execution of the shipped decision prefix. At most
     /// [`steals`](Self::steals) (a cancelled thief may skip its replay);
-    /// always zero for serial checks.
+    /// always zero for one-worker checks.
     pub steal_replays: u64,
-    /// `1` when the serial probe answered the whole check (the space fit
-    /// within [`CheckOptions::parallel_probe_runs`] runs, so no workers
-    /// were spawned), `0` otherwise. Always zero for serial checks.
+    /// `1` when the one-worker probe answered the whole check (the space
+    /// fit within [`CheckOptions::parallel_probe_runs`] runs, so no
+    /// thread was spawned), `0` otherwise. Always zero for one-worker
+    /// checks.
     pub probe_skips: u64,
     /// Which path the monitor backend's checks took during this phase
     /// (specialized log-linear checker vs Wing–Gong fallback, with a
@@ -615,197 +598,351 @@ pub fn check_against_spec<T: TestTarget>(
     spec: &ObservationSet,
     options: &CheckOptions,
 ) -> (Vec<Violation>, PhaseStats) {
-    // Per-specification products, shared by every bound below. The
-    // thread-symmetry structure of the test (empty when disabled) feeds
-    // both schedule pruning (masks, through the scheduler config) and the
-    // canonical verdict-cache keys.
-    let index = spec.index();
+    // The thread-symmetry structure of the test (empty when disabled)
+    // feeds both schedule pruning (masks, through the scheduler config)
+    // and the canonical verdict-cache keys.
     let groups = symmetry_groups_for(target, matrix, options);
-    let check_at = |bound| check_against_spec_at(target, matrix, &index, &groups, options, bound);
-    if !options.iterative_bounding {
-        return check_at(options.preemption_bound);
-    }
-    // Iterative context bounding: bounds 0, 1, …, preemption_bound (or an
-    // unbounded final iteration when no bound is set).
-    let final_bound = options.preemption_bound;
-    let mut bounds: Vec<Option<usize>> = match final_bound {
-        Some(b) => (0..=b).map(Some).collect(),
-        None => vec![Some(0), Some(1), Some(2), None],
-    };
-    let mut total = PhaseStats::default();
-    let mut violations = Vec::new();
-    for bound in bounds.drain(..) {
-        let (vs, stats) = check_at(bound);
-        // Saturating accumulation: the per-iteration counts are themselves
-        // unbounded sums over exploration, so cap instead of wrapping.
-        total.runs = total.runs.saturating_add(stats.runs);
-        total.full_histories = total.full_histories.saturating_add(stats.full_histories);
-        total.stuck_histories = total.stuck_histories.saturating_add(stats.stuck_histories);
-        total.sleep_prunes = total.sleep_prunes.saturating_add(stats.sleep_prunes);
-        total.symmetry_prunes = total.symmetry_prunes.saturating_add(stats.symmetry_prunes);
-        total.phase2_cache_hits = total
-            .phase2_cache_hits
-            .saturating_add(stats.phase2_cache_hits);
-        total.total_steps = total.total_steps.saturating_add(stats.total_steps);
-        total.fast_path_steps = total.fast_path_steps.saturating_add(stats.fast_path_steps);
-        total.handoffs = total.handoffs.saturating_add(stats.handoffs);
-        total.splits = total.splits.saturating_add(stats.splits);
-        total.steals = total.steals.saturating_add(stats.steals);
-        total.idle_parks = total.idle_parks.saturating_add(stats.idle_parks);
-        total.steal_replays = total.steal_replays.saturating_add(stats.steal_replays);
-        total.probe_skips = total.probe_skips.saturating_add(stats.probe_skips);
-        total.monitor_paths.merge(&stats.monitor_paths);
-        // Coverage gauges describe shared strategy state, not per-iteration
-        // events: take the high-water mark rather than double-counting.
-        total.corpus_size = total.corpus_size.max(stats.corpus_size);
-        total.coverage_bits = total.coverage_bits.max(stats.coverage_bits);
-        total.mutations = total.mutations.saturating_add(stats.mutations);
-        total.duration += stats.duration;
-        if !vs.is_empty() {
-            violations = vs;
-            if options.stop_at_first_violation {
-                break;
-            }
-        }
-    }
-    (violations, total)
+    check_against_spec_at(target, matrix, &spec.index(), &groups, options)
 }
 
+/// The phase-2 driver: one work-stealing exploration over
+/// [`CheckOptions::workers`] workers. Worker 0 runs on the calling thread
+/// (a one-worker check spawns no thread) and claims the [`StealPool`]'s
+/// root task, the whole schedule tree; workers `1..n` are scoped threads.
+/// An idle worker flags a victim chosen by deterministic round-robin, and
+/// the victim splits off its *deepest unexplored branch point*, shipping
+/// the decision prefix plus the accumulated sleep sets so partial-order
+/// reduction stays sound across the steal. Shipped prefixes replay lazily
+/// — only when a thief actually claims the task; no schedule is ever
+/// executed twice. Sampled strategies have no tree to split: they run as
+/// worker 0 alone, with the strategy [`Config`] builds.
+///
+/// Verdicts are shared through a canonically-keyed [`HistoryCache`];
+/// violations are claimed per occurrence with their decision vector and
+/// merged at the end (see [`Claim`]), so verdicts, violation order and
+/// witness histories are the same for any worker count.
 fn check_against_spec_at<T: TestTarget>(
     target: &T,
     matrix: &TestMatrix,
     index: &SpecIndex<'_>,
     groups: &SymmetryGroups,
     options: &CheckOptions,
-    preemption_bound: Option<usize>,
 ) -> (Vec<Violation>, PhaseStats) {
-    // The work-stealing engine partitions the DFS schedule tree; sampling
-    // strategies have no tree to partition and run serially.
-    if options.workers > 1 && matches!(options.strategy, StrategyKind::Dfs) {
-        return check_against_spec_at_parallel(
-            target,
-            matrix,
-            index,
-            groups,
-            options,
-            preemption_bound,
-        );
+    let splittable = options.strategy == StrategyKind::Dfs;
+    let workers = if splittable { options.workers } else { 1 };
+    // Tiny state spaces are explored faster by one worker than by
+    // splitting: pool bookkeeping and steal handoffs dominate a tree of a
+    // few dozen runs. Probe with one worker and a budget one past
+    // [`CheckOptions::parallel_probe_runs`]; if the space (or the overall
+    // run cap) fits within the threshold, the probe's answer *is* the
+    // answer — same runs, same violations, no thread spawned. Otherwise
+    // the probe is discarded as unaccounted overhead (at most
+    // `parallel_probe_runs + 1` runs, negligible against a tree that
+    // large) and the peers start.
+    if workers > 1 && options.parallel_probe_runs > 0 {
+        let budget = options
+            .parallel_probe_runs
+            .saturating_add(1)
+            .min(options.max_phase2_runs.unwrap_or(u64::MAX));
+        let probe = CheckOptions {
+            workers: 1,
+            max_phase2_runs: Some(budget),
+            ..options.clone()
+        };
+        let (violations, mut stats) = check_against_spec_at(target, matrix, index, groups, &probe);
+        if stats.runs <= options.parallel_probe_runs {
+            stats.probe_skips = 1;
+            return (violations, stats);
+        }
     }
+
     let start = std::time::Instant::now();
     let paths_before = monitor_path_snapshot(options);
-    let mut violations = Vec::new();
-    // Verdict cache: phase 2 visits the same history through many
-    // schedules — and, under symmetry, through renamings — so each
-    // canonical class needs only one witness search.
-    let cache: HistoryCache<CachedVerdict> = HistoryCache::new(1);
-    let mut keys = cache.writer();
-    // Specifications of the sub-tests obtained by dropping spuriously-
-    // failed operations, synthesized on demand (phase 1 is cheap, §5.4)
-    // and cached per removal set.
-    let mut sub_specs: std::collections::BTreeMap<Vec<(usize, usize)>, ObservationSet> =
-        Default::default();
-    let mut full = 0usize;
-    let mut stuck = 0usize;
-
     let mut config = Config::exhaustive()
         .with_por(options.por)
         .with_symmetry(groups.masks())
         .with_fast_path(options.fast_path)
         .with_backend(options.backend);
-    config.preemption_bound = preemption_bound;
-    config.max_runs = options.max_phase2_runs;
+    config.preemption_bound = options.preemption_bound;
     config.strategy = options.strategy.clone();
+    if !splittable {
+        // A sampling strategy sizes itself from the run cap. Stealing
+        // workers leave it off: the budget is global, enforced below.
+        config.max_runs = options.max_phase2_runs;
+    }
+    // Workers must agree on whether sleep sets are in play: shipped sleep
+    // masks are only meaningful to a thief that applies them.
+    let por = config.effective_por();
+    let budget = options.max_phase2_runs.unwrap_or(u64::MAX);
 
-    let stats = explore_matrix(target, matrix, &config, |run| {
-        let mut ok = true;
-        match &run.outcome {
-            RunOutcome::Pruned => {
+    // Runs accepted by any worker's visitor; the run budget caps it.
+    let runs_done = AtomicU64::new(0);
+    let cache: HistoryCache<CachedVerdict> = HistoryCache::new(if workers > 1 {
+        HistoryCache::<CachedVerdict>::DEFAULT_SHARDS
+    } else {
+        1
+    });
+    let full_count = AtomicUsize::new(0);
+    let stuck_count = AtomicUsize::new(0);
+    let claims: Mutex<Vec<Claim>> = Mutex::new(Vec::new());
+    // The pool seeds one task covering the whole schedule tree; every
+    // further task exists only because an idle worker asked for work.
+    let pool = Arc::new(StealPool::new(workers));
+    // Behind an `Arc` because the claim-time skip closure is owned by the
+    // strategy (`'static`), outliving this function's borrows.
+    let cancel = Arc::new(LexCancel::new());
+
+    let explore_worker = |w: usize| -> ExploreStats {
+        let (strategy, abandon) = if splittable {
+            // Subtrees wholly at-or-after a known violation cannot contain
+            // the lexicographic winner; skip them at claim time, before
+            // their prefix is ever replayed.
+            let skip_cancel = Arc::clone(&cancel);
+            let skip: StealSkip =
+                Box::new(move |t: &StealTask| skip_cancel.should_skip_subtree(&t.prefix));
+            // The visitor below raises `abandon` *after* the strategy has
+            // already advanced past the triggering run (the explorer calls
+            // `end_run` first), so a flag raised against the final run of
+            // a task would land on a fresh, unrelated task. The confirm
+            // closure keeps such stale requests from cancelling it: abandon
+            // only when the known winner is at or before the strategy's
+            // current position.
+            let confirm_cancel = Arc::clone(&cancel);
+            let confirm: AbandonConfirm =
+                Box::new(move |d: &[usize]| confirm_cancel.should_skip_subtree(d));
+            let Some(strategy) =
+                StealingStrategy::claim_first(Arc::clone(&pool), w, por, Some(skip), Some(confirm))
+            else {
+                return ExploreStats::default();
+            };
+            let abandon = strategy.abandon_flag();
+            (Some(strategy), abandon)
+        } else {
+            (None, Arc::default())
+        };
+        let mut keys = cache.writer();
+        // Sub-test specifications are cheap to synthesize (phase 1, §5.4),
+        // so each worker keeps its own cache rather than sharing.
+        let mut sub_specs: BTreeMap<Vec<(usize, usize)>, ObservationSet> = BTreeMap::new();
+        let visit = |run: MatrixRun| {
+            // A lexicographically smaller violation is already known (by a
+            // peer); every remaining run of the current subtree is at or
+            // after this one, so drop the subtree (uncounted) and let the
+            // strategy move on to the next task.
+            if cancel.should_skip(&run.decisions) {
+                abandon.store(true, Ordering::SeqCst);
+                return ControlFlow::Continue(());
+            }
+            let Ok(done) = runs_done.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                (n < budget).then_some(n + 1)
+            }) else {
+                return ControlFlow::Break(());
+            };
+            let claim = match &run.outcome {
                 // Sleep-set pruned: every continuation reorders only
                 // independent transitions of an explored schedule, so its
                 // history was already checked. Not a stuck run.
-            }
-            RunOutcome::Panicked { message, .. } => {
-                violations.push(Violation::Panic {
-                    message: message.clone(),
-                    history: run.history.clone(),
-                    serial: false,
-                    decisions: run.decisions.clone(),
-                });
-                ok = false;
-            }
-            RunOutcome::StepLimit => {
-                violations.push(Violation::Panic {
-                    message: "step limit exceeded in concurrent execution".into(),
-                    history: run.history.clone(),
-                    serial: false,
-                    decisions: run.decisions.clone(),
-                });
-                ok = false;
-            }
-            RunOutcome::Complete => {
-                // A history already seen (through another schedule, or as
-                // a symmetric renaming) was already checked — and
-                // reported, if it was a violation.
-                let key = groups.key(&run.history, &mut keys);
-                if cache.get_key(&key).is_some() {
-                    keys.recycle(key);
-                } else {
-                    full = full.saturating_add(1);
-                    let verdict =
-                        full_verdict(target, matrix, index, options, &mut sub_specs, &run.history);
-                    if verdict.is_violation() {
-                        violations.push(Violation::NoWitness {
+                RunOutcome::Pruned => None,
+                RunOutcome::Panicked { .. } | RunOutcome::StepLimit => {
+                    let message = if let RunOutcome::Panicked { message, .. } = &run.outcome {
+                        message.clone()
+                    } else {
+                        "step limit exceeded in concurrent execution".into()
+                    };
+                    // Panics are reported per occurrence: no history key.
+                    let violation = Violation::Panic {
+                        message,
+                        history: run.history,
+                        serial: false,
+                        decisions: run.decisions.clone(),
+                    };
+                    Some((None, violation))
+                }
+                RunOutcome::Complete
+                | RunOutcome::Deadlock
+                | RunOutcome::Livelock
+                | RunOutcome::StuckSerial => {
+                    let complete = run.outcome == RunOutcome::Complete;
+                    // A history already seen (through another schedule, or
+                    // as a symmetric renaming) was already checked.
+                    let key = groups.key(&run.history, &mut keys);
+                    let verdict = match cache.get_key(&key) {
+                        Some(v) => {
+                            keys.recycle(key);
+                            v
+                        }
+                        None => {
+                            // Witness search runs outside any cache lock;
+                            // `insert_key_if_absent` resolves the (rare)
+                            // race where two workers compute the same
+                            // history, counting it once.
+                            let (verdict, counter) = if complete {
+                                let v = full_verdict(
+                                    target,
+                                    matrix,
+                                    index,
+                                    options,
+                                    &mut sub_specs,
+                                    &run.history,
+                                );
+                                (v, &full_count)
+                            } else {
+                                let v = stuck_verdict(
+                                    target,
+                                    matrix,
+                                    index,
+                                    options,
+                                    &mut sub_specs,
+                                    &run.history,
+                                );
+                                (v, &stuck_count)
+                            };
+                            let (v, inserted) = cache.insert_key_if_absent(key, verdict);
+                            if inserted {
+                                counter.fetch_add(1, Ordering::Relaxed);
+                            }
+                            v
+                        }
+                    };
+                    let violation = match verdict {
+                        CachedVerdict::Pass => None,
+                        CachedVerdict::NoWitness => Some(Violation::NoWitness {
                             history: run.history.clone(),
                             decisions: run.decisions.clone(),
-                        });
-                        ok = false;
+                        }),
+                        // Report the reduced history, rebuilt from this
+                        // run, so the pending index refers to the checked
+                        // history.
+                        CachedVerdict::StuckNoWitness { pending } => {
+                            Some(Violation::StuckNoWitness {
+                                history: reduce_spurious(&run.history, &options.spurious_failures)
+                                    .0
+                                    .into_owned(),
+                                pending,
+                                decisions: run.decisions.clone(),
+                            })
+                        }
+                    };
+                    violation.map(|v| (Some(groups.key(&run.history, &mut keys)), v))
+                }
+            };
+            if let Some((key, violation)) = claim {
+                claims
+                    .lock()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .push(Claim {
+                        decisions: run.decisions.clone(),
+                        key,
+                        violation,
+                    });
+                if options.stop_at_first_violation {
+                    // A lone DFS meets the lexicographically least
+                    // violation first: stop right here.
+                    if workers == 1 {
+                        return ControlFlow::Break(());
                     }
-                    cache.insert_key_if_absent(key, verdict);
+                    // Every later run of the current subtree is
+                    // lexicographically greater and cannot win;
+                    // later-claimed subtrees are filtered by the claim-time
+                    // skip. The worker itself stays alive: a
+                    // lexicographically *smaller* subtree may still be
+                    // queued.
+                    cancel.report(&run.decisions);
+                    abandon.store(true, Ordering::SeqCst);
                 }
             }
-            RunOutcome::Deadlock | RunOutcome::Livelock | RunOutcome::StuckSerial => {
-                let key = groups.key(&run.history, &mut keys);
-                if cache.get_key(&key).is_some() {
-                    keys.recycle(key);
-                } else {
-                    stuck = stuck.saturating_add(1);
-                    let verdict =
-                        stuck_verdict(target, matrix, index, options, &mut sub_specs, &run.history);
-                    if let CachedVerdict::StuckNoWitness { reduced, pending } = &verdict {
-                        // Report the reduced history so the pending index
-                        // refers to the checked history.
-                        violations.push(Violation::StuckNoWitness {
-                            history: reduced.clone(),
-                            pending: *pending,
-                            decisions: run.decisions.clone(),
-                        });
-                        ok = false;
-                    }
-                    cache.insert_key_if_absent(key, verdict);
-                }
+            // The run that reaches the budget is the last one accepted.
+            if done + 1 == budget {
+                pool.stop();
+                return ControlFlow::Break(());
             }
-        }
-        if !ok && options.stop_at_first_violation {
-            ControlFlow::Break(())
-        } else {
             ControlFlow::Continue(())
+        };
+        let stats = match strategy {
+            Some(s) => explore_matrix_with_strategy(target, matrix, &config, Box::new(s), visit),
+            None => explore_matrix(target, matrix, &config, visit),
+        };
+        // Idempotent: releases the task a Break left held, so the pool's
+        // active count drains to zero.
+        pool.finish_task(w);
+        stats
+    };
+    let run_worker = |w: usize| {
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| explore_worker(w)));
+        if result.is_err() {
+            // A worker panicking mid-steal must not strand its parked
+            // peers: poison the pool so they drain and exit.
+            pool.poison();
         }
+        result
+    };
+    let results = std::thread::scope(|scope| {
+        let run_worker = &run_worker;
+        let peers: Vec<_> = (1..workers)
+            .map(|w| scope.spawn(move || run_worker(w)))
+            .collect();
+        let mut results = vec![run_worker(0)];
+        results.extend(
+            peers
+                .into_iter()
+                .map(|p| p.join().expect("worker panics are caught")),
+        );
+        results
     });
+    let mut sched_stats = ExploreStats::default();
+    for result in results {
+        // Re-raise a worker's panic on the caller's thread, once every
+        // worker has exited.
+        match result {
+            Ok(stats) => sched_stats.merge(&stats),
+            Err(payload) => std::panic::resume_unwind(payload),
+        }
+    }
+    pool.export_stats(&mut sched_stats);
+
+    // Merge the claims (see [`Claim`]).
+    let mut claims = claims.into_inner().unwrap_or_else(|e| e.into_inner());
+    if workers > 1 {
+        claims.sort_by(|a, b| a.decisions.cmp(&b.decisions));
+    }
+    let mut reported: HashSet<HistoryKey> = HashSet::new();
+    let mut violations: Vec<Violation> = claims
+        .into_iter()
+        .filter_map(|claim| {
+            let first = claim.key.is_none_or(|key| reported.insert(key));
+            first.then_some(claim.violation)
+        })
+        .collect();
+    if options.stop_at_first_violation {
+        violations.truncate(1);
+    }
 
     let phase = PhaseStats {
-        runs: stats.runs,
-        full_histories: full,
-        stuck_histories: stuck,
-        sleep_prunes: stats.sleep_prunes,
-        symmetry_prunes: stats.symmetry_prunes,
+        // Every schedule executes exactly once — a stolen task's prefix
+        // replay happens *inside* its first (new) run, never as an extra
+        // one — so `runs` does not depend on the worker count. (Under
+        // stop-at-first, peers abandon runs a known winner superseded
+        // uncounted.)
+        runs: runs_done.into_inner(),
+        full_histories: full_count.into_inner(),
+        stuck_histories: stuck_count.into_inner(),
+        sleep_prunes: sched_stats.sleep_prunes,
+        symmetry_prunes: sched_stats.symmetry_prunes,
         phase2_cache_hits: cache.hits(),
-        total_steps: stats.total_steps,
-        fast_path_steps: stats.fast_path_steps,
-        handoffs: stats.handoffs,
+        total_steps: sched_stats.total_steps,
+        fast_path_steps: sched_stats.fast_path_steps,
+        handoffs: sched_stats.handoffs,
+        splits: sched_stats.splits,
+        steals: sched_stats.steals,
+        idle_parks: sched_stats.idle_parks,
+        steal_replays: sched_stats.steal_replays,
+        // Peers can race to check the same history before the shared
+        // verdict cache publishes it, so these counters measure monitor
+        // work done, not distinct histories.
         monitor_paths: monitor_path_snapshot(options).diff_since(&paths_before),
-        corpus_size: stats.corpus_size,
-        coverage_bits: stats.coverage_bits,
-        mutations: stats.mutations,
+        corpus_size: sched_stats.corpus_size,
+        coverage_bits: sched_stats.coverage_bits,
+        mutations: sched_stats.mutations,
         duration: start.elapsed(),
         ..Default::default()
     };
@@ -814,11 +951,10 @@ fn check_against_spec_at<T: TestTarget>(
 
 /// The thread-symmetry structure phase 2 works with: the matrix's groups
 /// under the target's policy, or the empty structure when the check's
-/// [`symmetry`](CheckOptions::symmetry) flag is off (the `--no-symmetry`
-/// escape hatch). Empty groups make [`SymmetryGroups::key`]'s renaming the
-/// identity and [`SymmetryGroups::masks`] empty, so both the schedule
-/// pruning and the canonical cache keys degrade to the unreduced
-/// behaviour.
+/// [`symmetry`](CheckOptions::symmetry) flag is off. Empty groups make
+/// [`SymmetryGroups::key`]'s renaming the identity and
+/// [`SymmetryGroups::masks`] empty, so both the schedule pruning and the
+/// canonical cache keys degrade to the unreduced behaviour.
 fn symmetry_groups_for<T: TestTarget>(
     target: &T,
     matrix: &TestMatrix,
@@ -854,24 +990,14 @@ enum CachedVerdict {
     /// No witness for a complete history (Definition 1).
     NoWitness,
     /// Some pending operation of a stuck history has no stuck witness
-    /// (Definition 2). Stores the spurious-reduced history the pending
-    /// index refers to, so serial cache hits can report the violation
-    /// without redoing the reduction. The *pending index* is invariant
-    /// across the canonical class (canonicalization and spurious
-    /// reduction both preserve operation positions); the stored history
-    /// is whichever class member was checked first, so the parallel path
-    /// rebuilds the reported history from its local run instead.
-    StuckNoWitness { reduced: History, pending: OpIndex },
+    /// (Definition 2). The pending index is invariant across the canonical
+    /// class (canonicalization and spurious reduction both preserve
+    /// operation positions); each claim rebuilds the reduced history it
+    /// refers to from its own run.
+    StuckNoWitness { pending: OpIndex },
 }
 
-impl CachedVerdict {
-    fn is_violation(&self) -> bool {
-        !matches!(self, CachedVerdict::Pass)
-    }
-}
-
-/// Witness search for a complete history (serial path's `Complete` arm,
-/// factored out for the parallel workers).
+/// Witness search for a complete history.
 fn full_verdict<T: TestTarget>(
     target: &T,
     matrix: &TestMatrix,
@@ -903,8 +1029,8 @@ fn full_verdict<T: TestTarget>(
     }
 }
 
-/// Witness search for a stuck history (serial path's stuck arm, factored
-/// out for the parallel workers).
+/// Witness search for a stuck history: the first pending operation without
+/// a stuck witness, if any.
 fn stuck_verdict<T: TestTarget>(
     target: &T,
     matrix: &TestMatrix,
@@ -914,452 +1040,41 @@ fn stuck_verdict<T: TestTarget>(
     history: &History,
 ) -> CachedVerdict {
     let (reduced, removed) = reduce_spurious(history, &options.spurious_failures);
-    if let Some(monitor) = &options.witness_monitor {
-        for e in reduced.pending_ops() {
-            if !monitor.0.check_stuck(&reduced, e, &options.async_methods) {
-                return CachedVerdict::StuckNoWitness {
-                    reduced: reduced.into_owned(),
-                    pending: e,
-                };
-            }
+    // The monitor backend needs no sub-test spec (see `full_verdict`).
+    let sub_index = (options.witness_monitor.is_none() && !removed.is_empty()).then(|| {
+        sub_specs
+            .entry(removed)
+            .or_insert_with_key(|cells| synthesize_spec(target, &reduced_matrix(matrix, cells)).0)
+            .index()
+    });
+    let unjustified = reduced.pending_ops().into_iter().find(|&e| {
+        if let Some(monitor) = &options.witness_monitor {
+            return !monitor.0.check_stuck(&reduced, e, &options.async_methods);
         }
-        return CachedVerdict::Pass;
-    }
-    let sub_spec: Option<&ObservationSet> =
-        if removed.is_empty() {
-            None
-        } else {
-            Some(sub_specs.entry(removed).or_insert_with_key(|cells| {
-                synthesize_spec(target, &reduced_matrix(matrix, cells)).0
-            }))
-        };
-    let sub_index = sub_spec.map(|s| s.index());
-    for e in reduced.pending_ops() {
         let q = WitnessQuery::for_stuck_relaxed(&reduced, e, &options.async_methods);
-        let missing = match &sub_index {
-            Some(idx) => find_witness(idx, &q).is_none(),
-            None => find_witness(index, &q).is_none(),
-        };
-        if missing {
-            return CachedVerdict::StuckNoWitness {
-                reduced: reduced.into_owned(),
-                pending: e,
-            };
-        }
-    }
-    CachedVerdict::Pass
+        find_witness(sub_index.as_ref().unwrap_or(index), &q).is_none()
+    });
+    unjustified.map_or(CachedVerdict::Pass, |pending| {
+        CachedVerdict::StuckNoWitness { pending }
+    })
 }
 
 /// A violation claim from one worker, ordered by the claiming run's
-/// scheduler decision vector: the depth-first search visits runs in
-/// lexicographic decision order, so sorting claims by `decisions`
-/// recovers the order in which a serial exploration would have
-/// encountered them — regardless of which worker found each one, or when.
-/// Workers claim *every* violating occurrence (no local deduplication):
-/// the merge keeps the lexicographically least claim per history, which
-/// is exactly the occurrence the serial path's first-encounter `seen` map
-/// would have reported.
+/// scheduler decision vector. Workers claim *every* violating occurrence
+/// (no local deduplication), and the merge keeps the first claim per
+/// history. Peers claim in any order, so the merge first sorts claims by
+/// decision vector: the depth-first search visits runs in lexicographic
+/// decision order, so the first claim per history is then the one a lone
+/// worker meets first. A lone worker's claims stay in encounter order —
+/// already decision order for DFS, and the only order a sampled strategy
+/// has.
 struct Claim {
     decisions: Vec<usize>,
     /// History key for deduplication (of the canonicalized, unreduced
-    /// history, matching the serial path's verdict-cache key); `None` for
-    /// panics, which are reported per occurrence like the serial path
-    /// does.
+    /// history, matching the verdict-cache key); `None` for panics, which
+    /// are reported per occurrence.
     key: Option<HistoryKey>,
     violation: Violation,
-}
-
-/// Parallel phase 2: a work-stealing exploration across
-/// [`CheckOptions::workers`] OS threads. One worker starts on the whole
-/// schedule tree (the [`StealPool`] seeds a single root task); an idle
-/// worker flags a victim chosen by deterministic round-robin, and the
-/// victim splits off its *deepest unexplored branch point*, shipping the
-/// decision prefix plus the accumulated sleep sets so partial-order
-/// reduction stays sound across the steal. Shipped prefixes replay
-/// lazily — only when a thief actually claims the task; no schedule is
-/// ever executed twice. Every worker runs the same depth-first search
-/// the serial checker would, against a freshly-constructed target per
-/// run; verdicts are shared through a canonically-keyed [`HistoryCache`];
-/// violations are claimed with their decision vector and merged in
-/// lexicographic
-/// (= serial DFS) order at the end, so verdicts, violation order, and
-/// witness histories are byte-identical to the serial checker's for any
-/// worker count.
-fn check_against_spec_at_parallel<T: TestTarget>(
-    target: &T,
-    matrix: &TestMatrix,
-    index: &SpecIndex<'_>,
-    groups: &SymmetryGroups,
-    options: &CheckOptions,
-    preemption_bound: Option<usize>,
-) -> (Vec<Violation>, PhaseStats) {
-    // Tiny state spaces are explored faster by one worker than by
-    // splitting: pool bookkeeping and steal handoffs dominate a tree of a
-    // few dozen runs. Probe the serial exploration with a budget one past
-    // [`CheckOptions::parallel_probe_runs`]; if the space (or the overall
-    // run cap) fits within the threshold, the probe's answer *is* the
-    // serial answer — same runs, same violations, no workers spawned.
-    // Otherwise the probe is discarded as unaccounted overhead (at most
-    // `parallel_probe_runs + 1` runs, negligible against a tree that
-    // large) and the work-stealing exploration proceeds.
-    if options.parallel_probe_runs > 0 {
-        let budget = options
-            .parallel_probe_runs
-            .saturating_add(1)
-            .min(options.max_phase2_runs.unwrap_or(u64::MAX));
-        let probe_options = CheckOptions {
-            workers: 1,
-            max_phase2_runs: Some(budget),
-            ..options.clone()
-        };
-        let (violations, mut stats) = check_against_spec_at(
-            target,
-            matrix,
-            index,
-            groups,
-            &probe_options,
-            preemption_bound,
-        );
-        if stats.runs <= options.parallel_probe_runs {
-            stats.probe_skips = 1;
-            return (violations, stats);
-        }
-    }
-
-    let start = std::time::Instant::now();
-    let paths_before = monitor_path_snapshot(options);
-
-    let mut config = Config::exhaustive()
-        .with_por(options.por)
-        .with_symmetry(groups.masks())
-        .with_fast_path(options.fast_path)
-        .with_backend(options.backend);
-    config.preemption_bound = preemption_bound;
-    // Each worker runs ONE exploration that streams subtree tasks from
-    // the shared pool; the run budget is enforced globally through
-    // `runs_done`, so the per-exploration cap stays off.
-    config.max_runs = None;
-    // Workers must agree with the serial checker (and with each other) on
-    // whether sleep sets are in play: shipped sleep masks are only
-    // meaningful to a thief that applies them.
-    let por = config.effective_por();
-
-    // Counts every run a worker's visitor accepted and enforces the run
-    // budget across all workers.
-    let runs_done = AtomicU64::new(0);
-    let process_run = |runs_done: &AtomicU64| -> bool {
-        match options.max_phase2_runs {
-            Some(max) => {
-                if runs_done.fetch_add(1, Ordering::SeqCst) >= max {
-                    runs_done.fetch_sub(1, Ordering::SeqCst);
-                    false
-                } else {
-                    true
-                }
-            }
-            None => {
-                runs_done.fetch_add(1, Ordering::SeqCst);
-                true
-            }
-        }
-    };
-
-    let cache: HistoryCache<CachedVerdict> =
-        HistoryCache::new((options.workers * 8).next_power_of_two());
-    let full_count = AtomicUsize::new(0);
-    let stuck_count = AtomicUsize::new(0);
-    let claims: Mutex<Vec<Claim>> = Mutex::new(Vec::new());
-    // The pool seeds one task covering the whole schedule tree; every
-    // further task exists only because an idle worker asked for work.
-    let pool = Arc::new(StealPool::new(options.workers));
-    // Behind an `Arc` because the claim-time skip closure is owned by the
-    // strategy (`'static`), outliving this function's borrows.
-    let cancel = Arc::new(LexCancel::new());
-    let budget_exhausted = AtomicBool::new(false);
-    let worker_stats: Mutex<ExploreStats> = Mutex::new(ExploreStats::default());
-    let panic_payload: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-
-    std::thread::scope(|scope| {
-        for w in 0..options.workers {
-            let (pool, cancel, cache, claims) = (&pool, &cancel, &cache, &claims);
-            let (runs_done, process_run) = (&runs_done, &process_run);
-            let (full_count, stuck_count) = (&full_count, &stuck_count);
-            let (budget_exhausted, worker_stats) = (&budget_exhausted, &worker_stats);
-            let (config, panic_payload) = (&config, &panic_payload);
-            scope.spawn(move || {
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    // Subtrees wholly at-or-after a known violation cannot
-                    // contain the lexicographic winner; skip them at claim
-                    // time, before their prefix is ever replayed.
-                    let skip_cancel = Arc::clone(cancel);
-                    let skip: StealSkip =
-                        Box::new(move |t: &StealTask| skip_cancel.should_skip_subtree(&t.prefix));
-                    // The visitor below raises `abandon` *after* the
-                    // strategy has already advanced past the triggering
-                    // run (the explorer calls `end_run` first), so a flag
-                    // raised against the final run of a task would land on
-                    // a fresh, unrelated task. The confirm closure keeps
-                    // such stale requests from cancelling it: abandon only
-                    // when the known winner is at or before the strategy's
-                    // current position.
-                    let confirm_cancel = Arc::clone(cancel);
-                    let confirm: AbandonConfirm =
-                        Box::new(move |d: &[usize]| confirm_cancel.should_skip_subtree(d));
-                    let strategy = StealingStrategy::claim_first(
-                        Arc::clone(pool),
-                        w,
-                        por,
-                        Some(skip),
-                        Some(confirm),
-                    )?;
-                    let abandon = strategy.abandon_flag();
-                    let mut keys = cache.writer();
-                    // Sub-test specifications are cheap to synthesize
-                    // (phase 1, §5.4), so each worker keeps its own cache
-                    // rather than sharing.
-                    let mut sub_specs: BTreeMap<Vec<(usize, usize)>, ObservationSet> =
-                        BTreeMap::new();
-                    let stats = explore_matrix_with_strategy(
-                        target,
-                        matrix,
-                        config,
-                        Box::new(strategy),
-                        |run| {
-                            // A lexicographically smaller violation is
-                            // already known; every remaining run of the
-                            // current subtree is at or after this one, so
-                            // drop the subtree (uncounted) and let the
-                            // strategy move on to the next task.
-                            if cancel.should_skip(&run.decisions) {
-                                abandon.store(true, Ordering::SeqCst);
-                                return ControlFlow::Continue(());
-                            }
-                            if !process_run(runs_done) {
-                                budget_exhausted.store(true, Ordering::SeqCst);
-                                return ControlFlow::Break(());
-                            }
-                            let mut violating = false;
-                            match &run.outcome {
-                                RunOutcome::Pruned => {
-                                    // Redundant by partial-order reduction
-                                    // (see the serial path); counts toward
-                                    // the run budget like any run.
-                                }
-                                RunOutcome::Panicked { message, .. } => {
-                                    claims.lock().unwrap().push(Claim {
-                                        decisions: run.decisions.clone(),
-                                        key: None,
-                                        violation: Violation::Panic {
-                                            message: message.clone(),
-                                            history: run.history.clone(),
-                                            serial: false,
-                                            decisions: run.decisions.clone(),
-                                        },
-                                    });
-                                    violating = true;
-                                }
-                                RunOutcome::StepLimit => {
-                                    claims.lock().unwrap().push(Claim {
-                                        decisions: run.decisions.clone(),
-                                        key: None,
-                                        violation: Violation::Panic {
-                                            message: "step limit exceeded in concurrent execution"
-                                                .into(),
-                                            history: run.history.clone(),
-                                            serial: false,
-                                            decisions: run.decisions.clone(),
-                                        },
-                                    });
-                                    violating = true;
-                                }
-                                RunOutcome::Complete
-                                | RunOutcome::Deadlock
-                                | RunOutcome::Livelock
-                                | RunOutcome::StuckSerial => {
-                                    let key = groups.key(&run.history, &mut keys);
-                                    let verdict = match cache.get_key(&key) {
-                                        Some(v) => {
-                                            keys.recycle(key);
-                                            v
-                                        }
-                                        None => {
-                                            // Witness search runs outside any
-                                            // cache lock; `insert_key_if_absent`
-                                            // resolves the (rare) race where
-                                            // two workers compute the same
-                                            // history, counting it once.
-                                            let computed = if run.outcome == RunOutcome::Complete {
-                                                full_verdict(
-                                                    target,
-                                                    matrix,
-                                                    index,
-                                                    options,
-                                                    &mut sub_specs,
-                                                    &run.history,
-                                                )
-                                            } else {
-                                                stuck_verdict(
-                                                    target,
-                                                    matrix,
-                                                    index,
-                                                    options,
-                                                    &mut sub_specs,
-                                                    &run.history,
-                                                )
-                                            };
-                                            let (v, inserted) =
-                                                cache.insert_key_if_absent(key, computed);
-                                            if inserted {
-                                                if run.outcome == RunOutcome::Complete {
-                                                    full_count.fetch_add(1, Ordering::SeqCst);
-                                                } else {
-                                                    stuck_count.fetch_add(1, Ordering::SeqCst);
-                                                }
-                                            }
-                                            v
-                                        }
-                                    };
-                                    if verdict.is_violation() {
-                                        violating = true;
-                                        let violation = match verdict {
-                                            CachedVerdict::NoWitness => Violation::NoWitness {
-                                                history: run.history.clone(),
-                                                decisions: run.decisions.clone(),
-                                            },
-                                            CachedVerdict::StuckNoWitness { pending, .. } => {
-                                                // The cached reduced history
-                                                // belongs to whichever class
-                                                // member raced in first;
-                                                // rebuild from the local run
-                                                // so the surviving lex-least
-                                                // claim reports exactly what
-                                                // the serial checker would.
-                                                let (reduced, _) = reduce_spurious(
-                                                    &run.history,
-                                                    &options.spurious_failures,
-                                                );
-                                                Violation::StuckNoWitness {
-                                                    history: reduced.into_owned(),
-                                                    pending,
-                                                    decisions: run.decisions.clone(),
-                                                }
-                                            }
-                                            CachedVerdict::Pass => unreachable!(),
-                                        };
-                                        claims.lock().unwrap().push(Claim {
-                                            decisions: run.decisions.clone(),
-                                            key: Some(groups.key(&run.history, &mut keys)),
-                                            violation,
-                                        });
-                                    }
-                                }
-                            }
-                            if violating && options.stop_at_first_violation {
-                                // Every later run of the current subtree is
-                                // lexicographically greater and cannot win;
-                                // later-claimed subtrees are filtered by the
-                                // claim-time skip. The worker itself stays
-                                // alive: a lexicographically *smaller*
-                                // subtree may still be queued.
-                                cancel.report(&run.decisions);
-                                abandon.store(true, Ordering::SeqCst);
-                            }
-                            ControlFlow::Continue(())
-                        },
-                    );
-                    // Idempotent: releases the task a budget Break left
-                    // held, so the pool's active count drains to zero.
-                    pool.finish_task(w);
-                    if budget_exhausted.load(Ordering::SeqCst) {
-                        pool.stop();
-                    }
-                    Some(stats)
-                }));
-                match result {
-                    Ok(Some(stats)) => worker_stats
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .merge(&stats),
-                    Ok(None) => {}
-                    Err(payload) => {
-                        // A worker panicking mid-steal must not strand its
-                        // parked peers: poison the pool so they drain and
-                        // exit, then re-raise on the caller's thread.
-                        pool.poison();
-                        let mut slot = panic_payload.lock().unwrap_or_else(|e| e.into_inner());
-                        if slot.is_none() {
-                            *slot = Some(payload);
-                        }
-                    }
-                }
-            });
-        }
-    });
-
-    if let Some(payload) = panic_payload
-        .into_inner()
-        .unwrap_or_else(|e| e.into_inner())
-    {
-        std::panic::resume_unwind(payload);
-    }
-
-    let mut sched_stats = worker_stats.into_inner().unwrap_or_else(|e| e.into_inner());
-    pool.export_stats(&mut sched_stats);
-
-    // Deterministic merge: sort claims lexicographically by decision
-    // vector (the serial visit order), deduplicate violating histories
-    // (the serial path's global `seen` map reports only the first
-    // occurrence), and honor stop-at-first by keeping only the claim the
-    // serial exploration would have stopped at.
-    let mut claims = claims.into_inner().unwrap_or_else(|e| e.into_inner());
-    claims.sort_by(|a, b| a.decisions.cmp(&b.decisions));
-    let mut violations = Vec::new();
-    let mut reported: HashSet<HistoryKey> = HashSet::new();
-    for claim in claims {
-        if let Some(key) = claim.key {
-            if !reported.insert(key) {
-                continue;
-            }
-        }
-        violations.push(claim.violation);
-        if options.stop_at_first_violation {
-            break;
-        }
-    }
-
-    let phase = PhaseStats {
-        // Every schedule executes exactly once — a stolen task's prefix
-        // replay happens *inside* its first (new) run, never as an extra
-        // one — so `runs` matches a serial exploration of the same tree.
-        // (Under stop-at-first, runs a known winner superseded are
-        // abandoned uncounted.)
-        runs: runs_done.load(Ordering::SeqCst),
-        full_histories: full_count.load(Ordering::SeqCst),
-        stuck_histories: stuck_count.load(Ordering::SeqCst),
-        sleep_prunes: sched_stats.sleep_prunes,
-        symmetry_prunes: sched_stats.symmetry_prunes,
-        phase2_cache_hits: cache.hits(),
-        total_steps: sched_stats.total_steps,
-        fast_path_steps: sched_stats.fast_path_steps,
-        handoffs: sched_stats.handoffs,
-        splits: sched_stats.splits,
-        steals: sched_stats.steals,
-        idle_parks: sched_stats.idle_parks,
-        steal_replays: sched_stats.steal_replays,
-        probe_skips: 0,
-        // Parallel workers can race to check the same history before the
-        // shared verdict cache publishes it, so these counters may exceed
-        // a serial run's — they measure monitor work done, not distinct
-        // histories.
-        monitor_paths: monitor_path_snapshot(options).diff_since(&paths_before),
-        // The parallel path only runs under StrategyKind::Dfs, which
-        // carries no coverage feedback.
-        corpus_size: 0,
-        coverage_bits: 0,
-        mutations: 0,
-        duration: start.elapsed(),
-    };
-    (violations, phase)
 }
 
 /// The function `Check(X, m)` of the paper's Fig. 5: phase 1 enumerates
@@ -1487,37 +1202,6 @@ mod tests {
     }
 
     #[test]
-    fn iterative_bounding_agrees_on_verdicts() {
-        let m = buggy_matrix();
-        for (target_passes, iterate) in [(false, true), (false, false)] {
-            let mut opts = CheckOptions::new();
-            if iterate {
-                opts = opts.with_iterative_bounding();
-            }
-            let report = check(&BuggyCounterTarget, &m, &opts);
-            assert_eq!(report.passed(), target_passes);
-        }
-        let opts = CheckOptions::new().with_iterative_bounding();
-        assert!(check(&CounterTarget, &m, &opts).passed());
-    }
-
-    #[test]
-    fn iterative_bounding_finds_shallow_bugs_with_few_preemptions() {
-        // The buggy counter's lost update needs a single preemption, so
-        // the iterative search stops during the bound-1 iteration —
-        // strictly before a full bound-2 exploration would.
-        let m = buggy_matrix();
-        let iterative = CheckOptions::new().with_iterative_bounding();
-        let direct = CheckOptions::new();
-        let r_iter = check(&BuggyCounterTarget, &m, &iterative);
-        let r_direct = check(&BuggyCounterTarget, &m, &direct);
-        assert!(!r_iter.passed() && !r_direct.passed());
-        // Both stop at their first violation; the iterative one never
-        // spends more runs than bound-0 exhausted plus the bound-1 prefix.
-        assert!(r_iter.phase2.runs > 0);
-    }
-
-    #[test]
     fn parallel_stop_at_first_reports_the_serial_violation() {
         let m = buggy_matrix();
         let serial = check(&BuggyCounterTarget, &m, &CheckOptions::new());
@@ -1614,8 +1298,8 @@ mod tests {
     #[test]
     fn tiny_spaces_skip_parallel_splitting() {
         // The counter's exhaustive tree is a few dozen runs — far below
-        // the default probe threshold — so a multi-worker check takes the
-        // serial path: same runs, same verdict, and no pool activity.
+        // the default probe threshold — so a multi-worker check is answered
+        // by its one-worker probe: same runs, same verdict, no steals.
         let m = buggy_matrix();
         let opts = CheckOptions::new().with_preemption_bound(None);
         let serial = check(&CounterTarget, &m, &opts);
@@ -1767,7 +1451,7 @@ mod tests {
             &mut BTreeMap::new(),
             &overlapped,
         );
-        assert!(!verdict.is_violation());
+        assert!(matches!(verdict, CachedVerdict::Pass));
     }
 
     #[test]

@@ -208,10 +208,6 @@ pub struct StressReport {
     pub monitor_stats: crate::linearize::MonitorStats,
     /// The rejections, in order of first occurrence.
     pub violations: Vec<StressViolation>,
-    /// Total wall-clock time of the campaign.
-    pub wall: Duration,
-    /// Wall-clock time spent inside the monitor.
-    pub monitor_wall: Duration,
     /// Serial witnesses of accepted complete histories (empty unless
     /// [`StressOptions::collect_witnesses`]).
     pub witnesses: ObservationSet,
@@ -260,7 +256,6 @@ where
 {
     let ncols = matrix.columns.len();
     let thread_count = ncols + usize::from(!matrix.finally.is_empty());
-    let start = Instant::now();
     let stats_before = monitor.stats();
     let groups = if options.symmetry {
         matrix.symmetry_groups(target.symmetry_policy())
@@ -278,8 +273,6 @@ where
         history_cache_hits: 0,
         monitor_stats: Default::default(),
         violations: Vec::new(),
-        wall: Duration::ZERO,
-        monitor_wall: Duration::ZERO,
         witnesses: ObservationSet::new(),
     };
 
@@ -300,7 +293,6 @@ where
             keys.recycle(key);
         } else {
             report.distinct_histories += 1;
-            let t0 = Instant::now();
             let ok = if history.is_complete() {
                 report.monitor_checks += 1;
                 let ok = monitor.check_full(&history, &options.async_methods);
@@ -333,14 +325,12 @@ where
                 }
                 ok
             };
-            report.monitor_wall += t0.elapsed();
             verdicts.insert_key_if_absent(key, ok);
             if !ok && options.stop_at_first_violation {
                 break;
             }
         }
     }
-    report.wall = start.elapsed();
     report.monitor_stats = monitor.stats().diff_since(&stats_before);
     report
 }

@@ -1,9 +1,10 @@
-//! Work-stealing phase 2 is observationally equivalent to the serial
-//! checker (ISSUE acceptance): across 1, 2, and 4 workers, with POR on or
-//! off, on either execution backend, and under preemption bounds, the
-//! verdicts, the violation lists, and the distinct-history counts must
-//! match the serial exploration — with lazy steal replays bounded by the
-//! number of claimed steals.
+//! Phase 2 is one work-stealing engine, and one worker is its serial
+//! case. Across 1, 2, and 4 workers, with POR on or off, on either
+//! execution backend, and under preemption bounds, the verdicts, the
+//! violation lists, and the distinct-history counts must match the
+//! one-worker exploration — with lazy steal replays bounded by the number
+//! of claimed steals. One worker in turn must match a bare reference loop
+//! that shares none of the driver.
 //!
 //! Determinism tiers:
 //!
@@ -14,12 +15,19 @@
 //! * **POR on** — a split promotes the victim's sleep-set nodes to full
 //!   exploration so the shipped sleep masks stay sound; which nodes get
 //!   promoted depends on steal timing, so run counts may exceed the
-//!   serial reduced count (never the unreduced one). The *distinct
+//!   one-worker reduced count (never the unreduced one). The *distinct
 //!   history sets* — and with them verdicts and the set of violating
-//!   histories — are still exactly the serial ones.
+//!   histories — are still exactly the one-worker ones.
 
-use lineup::{Backend, CheckOptions, TestMatrix, Violation};
+use std::collections::HashSet;
+use std::ops::ControlFlow;
+
+use lineup::{
+    check_against_spec, explore_matrix, find_witness, synthesize_spec, Backend, CheckOptions,
+    History, TestMatrix, TestTarget, Violation, WitnessQuery,
+};
 use lineup_collections::registry::{all_classes, ClassEntry};
+use lineup_sched::{Config, RunOutcome};
 
 /// Renders the full violation list, decisions included, for the
 /// byte-identical (POR-off) comparisons.
@@ -284,6 +292,7 @@ fn stop_at_first_reports_the_serial_winner() {
         let Some(matrix) = entry.regression_matrix() else {
             continue;
         };
+        // The defaults (preemption bound 2) are `parallel_equivalence`'s.
         let opts = CheckOptions::new()
             .with_preemption_bound(None)
             .with_por(false);
@@ -311,4 +320,125 @@ fn stop_at_first_reports_the_serial_winner() {
         checked += 1;
     }
     assert!(checked >= 3, "expected seeded variants, got {checked}");
+}
+
+/// One-worker phase 2 against a bare reference loop that shares none of
+/// the driver: `explore_matrix` under the `Config` the checker builds,
+/// then `find_witness` on every full history and on every pending
+/// operation of every stuck history — no verdict cache, no symmetry, and
+/// no spurious-failure reduction (the default options declare none).
+fn matches_reference<T: TestTarget>(target: &T, matrix: &TestMatrix, name: &str) {
+    let (spec, _, _) = synthesize_spec(target, matrix);
+    let index = spec.index();
+    for (bound, por) in [(Some(2), true), (None, true), (None, false)] {
+        for (stop, cap) in [
+            (true, None),
+            (true, Some(10)),
+            (false, None),
+            (false, Some(10)),
+        ] {
+            let mut config = Config::exhaustive().with_por(por);
+            (config.preemption_bound, config.max_runs) = (bound, cap);
+            let (mut full, mut stuck, mut violating) =
+                (HashSet::new(), HashSet::new(), HashSet::new());
+            let stats = explore_matrix(target, matrix, &config, |run| {
+                let history = &run.history;
+                let ok = match run.outcome {
+                    RunOutcome::Pruned => true,
+                    RunOutcome::Panicked { .. } | RunOutcome::StepLimit => false,
+                    RunOutcome::Complete => {
+                        full.insert(history.clone());
+                        let q = WitnessQuery::for_full_relaxed(history, &[]);
+                        find_witness(&index, &q).is_some()
+                    }
+                    _ => {
+                        stuck.insert(history.clone());
+                        history.pending_ops().into_iter().all(|e| {
+                            let q = WitnessQuery::for_stuck_relaxed(history, e, &[]);
+                            find_witness(&index, &q).is_some()
+                        })
+                    }
+                };
+                if !ok {
+                    violating.insert(run.history);
+                }
+                if !ok && stop {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                }
+            });
+            let mut options = CheckOptions::new()
+                .with_preemption_bound(bound)
+                .with_por(por)
+                .with_symmetry(false);
+            options.stop_at_first_violation = stop;
+            options.max_phase2_runs = cap;
+            let (violations, phase2) = check_against_spec(target, matrix, &spec, &options);
+            let checked: HashSet<History> = violations
+                .into_iter()
+                .map(|v| match v {
+                    Violation::NoWitness { history, .. }
+                    | Violation::StuckNoWitness { history, .. }
+                    | Violation::Panic { history, .. } => history,
+                    Violation::Nondeterminism(nd) => panic!("phase 2 reported {nd:?}"),
+                })
+                .collect();
+            let at = format!("{name}, bound {bound:?}, POR {por}, stop {stop}, cap {cap:?}");
+            assert_eq!(phase2.runs, stats.runs, "{at}: runs");
+            assert_eq!(phase2.total_steps, stats.total_steps, "{at}: steps");
+            assert_eq!(checked, violating, "{at}: violating histories");
+            assert_eq!(phase2.full_histories, full.len(), "{at}: distinct full");
+            assert_eq!(phase2.stuck_histories, stuck.len(), "{at}: distinct stuck");
+        }
+    }
+}
+
+#[test]
+fn one_worker_matches_a_bare_reference_loop_on_every_class() {
+    use lineup_collections::*;
+    let all = all_classes();
+    for entry in &all {
+        let (m, name, variant) = (&small(matrix_for(entry, &all)), entry.name, entry.variant);
+        // The reference needs the concrete target `all_classes` erased.
+        macro_rules! reference {
+            ($target:expr) => {
+                matches_reference(&$target, m, name)
+            };
+        }
+        match name.trim_end_matches(" (Pre)") {
+            "Lazy Initialization" => reference!(lazy::LazyTarget),
+            "ManualResetEvent" => {
+                reference!(manual_reset_event::ManualResetEventTarget { variant })
+            }
+            "SemaphoreSlim" => reference!(semaphore_slim::SemaphoreSlimTarget {
+                variant,
+                initial: 0
+            }),
+            "CountdownEvent" => reference!(countdown_event::CountdownEventTarget {
+                variant,
+                initial: 2
+            }),
+            "ConcurrentDictionary" => {
+                reference!(concurrent_dictionary::ConcurrentDictionaryTarget { variant })
+            }
+            "ConcurrentQueue" => reference!(concurrent_queue::ConcurrentQueueTarget { variant }),
+            "ConcurrentStack" => reference!(concurrent_stack::ConcurrentStackTarget { variant }),
+            "ConcurrentLinkedList" => {
+                reference!(concurrent_linked_list::ConcurrentLinkedListTarget { variant })
+            }
+            "BlockingCollection" => {
+                reference!(blocking_collection::BlockingCollectionTarget { capacity: 2 })
+            }
+            "ConcurrentBag" => reference!(concurrent_bag::ConcurrentBagTarget { variant }),
+            "TaskCompletionSource" => {
+                reference!(task_completion_source::TaskCompletionSourceTarget)
+            }
+            "CancellationTokenSource" => {
+                reference!(cancellation_token_source::CancellationTokenSourceTarget)
+            }
+            "Barrier" => reference!(barrier::BarrierTarget { participants: 2 }),
+            other => panic!("registry entry `{other}` has no concrete target here"),
+        }
+    }
 }
