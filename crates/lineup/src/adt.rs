@@ -11,9 +11,8 @@
 //! each monitor check took ([`MonitorPathStats`]).
 //!
 //! The types live in the core crate (rather than `lineup-monitor`) so the
-//! registry of collection classes can annotate targets, and so
-//! [`PhaseStats`](crate::PhaseStats) can report path counters, without
-//! either depending on the monitor crate.
+//! registry of collection classes can annotate targets without depending
+//! on the monitor crate.
 
 use std::fmt;
 
@@ -142,8 +141,8 @@ impl fmt::Display for FallbackReason {
 /// Counters describing which path monitor checks took: the specialized
 /// log-linear checker, or the general Wing–Gong search (and why).
 ///
-/// Exposed on [`PhaseStats`](crate::PhaseStats) when the check uses a
-/// monitor backend, and on the monitor's own stats snapshot.
+/// Exposed on the monitor's own stats snapshot and, summed over every
+/// window check, on the service's shard counters.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MonitorPathStats {
     /// Checks decided end-to-end by a specialized checker.

@@ -4,7 +4,6 @@
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashSet};
-use std::fmt;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -15,58 +14,12 @@ use lineup_sched::{
     StealTask, StealingStrategy, StrategyKind,
 };
 
-use crate::adt::MonitorPathStats;
 use crate::harness::{explore_matrix, explore_matrix_with_strategy, MatrixRun};
 use crate::history::{History, HistoryCache, HistoryKey, OpIndex};
 use crate::matrix::{SymmetryGroups, TestMatrix};
 use crate::spec::{Nondeterminism, ObservationSet, SerialHistory, SpecIndex};
 use crate::target::TestTarget;
 use crate::witness::{find_witness, WitnessQuery};
-
-/// An alternative witness backend for phase 2: instead of searching the
-/// pre-enumerated observation set ([`find_witness`]), a monitor decides
-/// directly whether a history is linearizable with respect to an
-/// executable sequential oracle (the `lineup-monitor` crate provides the
-/// Wing–Gong-style implementation).
-///
-/// A monitor must agree with the witness search on every history the
-/// model checker can record for a *deterministic* target — phase 2 only
-/// runs after the determinism check, so implementations may assume the
-/// sequential behavior is a function of the invocation sequence.
-pub trait HistoryMonitor: Send + Sync {
-    /// Whether the *complete* history is linearizable: some interleaving
-    /// of the per-thread operation sequences, respecting the history's
-    /// precedence order (relaxed for `async_methods`, see
-    /// [`CheckOptions::async_methods`]), replays against the sequential
-    /// oracle with matching responses (Definition 1).
-    fn check_full(&self, history: &History, async_methods: &[String]) -> bool;
-
-    /// Whether `H[e]` — the complete operations plus the pending operation
-    /// `e` — has a stuck linearization: the complete operations linearize
-    /// as in [`check_full`](HistoryMonitor::check_full) and the oracle
-    /// then *blocks* on `e`'s invocation (Definition 2).
-    fn check_stuck(&self, history: &History, pending: OpIndex, async_methods: &[String]) -> bool;
-
-    /// Cumulative counters describing which path the monitor's checks
-    /// took (specialized log-linear checker vs general search) since the
-    /// monitor was created. `None` (the default) when the monitor has no
-    /// notion of paths; checkers use this to fill
-    /// [`PhaseStats::monitor_paths`].
-    fn path_stats(&self) -> Option<MonitorPathStats> {
-        None
-    }
-}
-
-/// A cloneable handle to a [`HistoryMonitor`], carried inside
-/// [`CheckOptions`].
-#[derive(Clone)]
-pub struct MonitorHandle(pub Arc<dyn HistoryMonitor>);
-
-impl fmt::Debug for MonitorHandle {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("MonitorHandle(..)")
-    }
-}
 
 /// Options controlling one [`check`] call.
 #[derive(Debug, Clone)]
@@ -164,14 +117,6 @@ pub struct CheckOptions {
     /// disables the probe and always starts the peers. Only read when
     /// [`workers`](CheckOptions::workers) `> 1`.
     pub parallel_probe_runs: u64,
-    /// Alternative witness backend (see [`HistoryMonitor`]). When set,
-    /// phase 2 asks the monitor for every history verdict instead of
-    /// searching the enumerated observation set; spuriously-failed
-    /// operations are still removed first, but no sub-test specification
-    /// is synthesized (the monitor's oracle is test-independent). Phase 1
-    /// still runs: the observation set feeds the determinism check, which
-    /// the monitor's oracle-replay model relies on.
-    pub witness_monitor: Option<MonitorHandle>,
     /// Exploration strategy for phase 2 (default
     /// [`StrategyKind::Dfs`]: the exhaustive depth-first search the paper
     /// builds on). Randomized strategies ([`StrategyKind::Random`],
@@ -204,7 +149,6 @@ impl CheckOptions {
             fast_path: true,
             backend: Backend::default_backend(),
             parallel_probe_runs: 256,
-            witness_monitor: None,
             strategy: StrategyKind::Dfs,
         }
     }
@@ -289,13 +233,6 @@ impl CheckOptions {
     /// serial (see [`CheckOptions::parallel_probe_runs`]), builder style.
     pub fn with_parallel_probe_runs(mut self, runs: u64) -> Self {
         self.parallel_probe_runs = runs;
-        self
-    }
-
-    /// Uses a [`HistoryMonitor`] as the phase-2 witness backend (see
-    /// [`CheckOptions::witness_monitor`]), builder style.
-    pub fn with_monitor_backend(mut self, monitor: Arc<dyn HistoryMonitor>) -> Self {
-        self.witness_monitor = Some(MonitorHandle(monitor));
         self
     }
 
@@ -417,11 +354,6 @@ pub struct PhaseStats {
     /// thread was spawned), `0` otherwise. Always zero for one-worker
     /// checks.
     pub probe_skips: u64,
-    /// Which path the monitor backend's checks took during this phase
-    /// (specialized log-linear checker vs Wing–Gong fallback, with a
-    /// fallback-reason histogram). All-zero when the phase ran without a
-    /// monitor backend, or with one that does not report paths.
-    pub monitor_paths: MonitorPathStats,
     /// Corpus entries held by the coverage-guided strategy at the end of
     /// the phase (see [`StrategyKind::Coverage`]). Zero for every other
     /// strategy.
@@ -516,7 +448,6 @@ pub fn synthesize_spec<T: TestTarget>(
         total_steps: stats.total_steps,
         fast_path_steps: stats.fast_path_steps,
         handoffs: stats.handoffs,
-        monitor_paths: MonitorPathStats::default(),
         duration: start.elapsed(),
         ..Default::default()
     };
@@ -657,7 +588,6 @@ fn check_against_spec_at<T: TestTarget>(
     }
 
     let start = std::time::Instant::now();
-    let paths_before = monitor_path_snapshot(options);
     let mut config = Config::exhaustive()
         .with_por(options.por)
         .with_symmetry(groups.masks())
@@ -776,29 +706,18 @@ fn check_against_spec_at<T: TestTarget>(
                             // `insert_key_if_absent` resolves the (rare)
                             // race where two workers compute the same
                             // history, counting it once.
-                            let (verdict, counter) = if complete {
-                                let v = full_verdict(
-                                    target,
-                                    matrix,
-                                    index,
-                                    options,
-                                    &mut sub_specs,
-                                    &run.history,
-                                );
-                                (v, &full_count)
-                            } else {
-                                let v = stuck_verdict(
-                                    target,
-                                    matrix,
-                                    index,
-                                    options,
-                                    &mut sub_specs,
-                                    &run.history,
-                                );
-                                (v, &stuck_count)
-                            };
+                            let verdict = witness_verdict(
+                                target,
+                                matrix,
+                                index,
+                                options,
+                                &mut sub_specs,
+                                &run.history,
+                                complete,
+                            );
                             let (v, inserted) = cache.insert_key_if_absent(key, verdict);
                             if inserted {
+                                let counter = if complete { &full_count } else { &stuck_count };
                                 counter.fetch_add(1, Ordering::Relaxed);
                             }
                             v
@@ -936,10 +855,6 @@ fn check_against_spec_at<T: TestTarget>(
         steals: sched_stats.steals,
         idle_parks: sched_stats.idle_parks,
         steal_replays: sched_stats.steal_replays,
-        // Peers can race to check the same history before the shared
-        // verdict cache publishes it, so these counters measure monitor
-        // work done, not distinct histories.
-        monitor_paths: monitor_path_snapshot(options).diff_since(&paths_before),
         corpus_size: sched_stats.corpus_size,
         coverage_bits: sched_stats.coverage_bits,
         mutations: sched_stats.mutations,
@@ -967,17 +882,6 @@ fn symmetry_groups_for<T: TestTarget>(
     }
 }
 
-/// The monitor backend's cumulative path counters right now (zeroes when
-/// no backend is configured, or it does not report paths). Phases report
-/// the difference between two snapshots.
-fn monitor_path_snapshot(options: &CheckOptions) -> MonitorPathStats {
-    options
-        .witness_monitor
-        .as_ref()
-        .and_then(|m| m.0.path_stats())
-        .unwrap_or_default()
-}
-
 /// Verdict of one witness search, cached per canonical history class
 /// (in a [`HistoryCache`]) and shared by all phase-2 workers: the verdict
 /// of a history is a pure function of the history (and the fixed
@@ -997,62 +901,40 @@ enum CachedVerdict {
     StuckNoWitness { pending: OpIndex },
 }
 
-/// Witness search for a complete history.
-fn full_verdict<T: TestTarget>(
+/// Witness search for one history, after removing its spuriously-failed
+/// operations: a complete history needs a serial witness (Definition 1),
+/// and a stuck one a stuck witness for each pending operation
+/// (Definition 2) — the first one without is reported. The search runs
+/// against the phase-1 index, or, when operations were removed, against
+/// the specification of the sub-test without them.
+fn witness_verdict<T: TestTarget>(
     target: &T,
     matrix: &TestMatrix,
     index: &SpecIndex<'_>,
     options: &CheckOptions,
     sub_specs: &mut BTreeMap<Vec<(usize, usize)>, ObservationSet>,
     history: &History,
+    complete: bool,
 ) -> CachedVerdict {
     let (reduced, removed) = reduce_spurious(history, &options.spurious_failures);
-    let found = if let Some(monitor) = &options.witness_monitor {
-        // Monitor backend: the oracle replays invocation sequences
-        // directly, so the reduced history needs no sub-test spec.
-        monitor.0.check_full(&reduced, &options.async_methods)
-    } else {
-        let q = WitnessQuery::for_full_relaxed(&reduced, &options.async_methods);
-        if removed.is_empty() {
-            find_witness(index, &q).is_some()
-        } else {
-            let sub = sub_specs.entry(removed).or_insert_with_key(|cells| {
-                synthesize_spec(target, &reduced_matrix(matrix, cells)).0
-            });
-            find_witness(&sub.index(), &q).is_some()
-        }
-    };
-    if found {
-        CachedVerdict::Pass
-    } else {
-        CachedVerdict::NoWitness
-    }
-}
-
-/// Witness search for a stuck history: the first pending operation without
-/// a stuck witness, if any.
-fn stuck_verdict<T: TestTarget>(
-    target: &T,
-    matrix: &TestMatrix,
-    index: &SpecIndex<'_>,
-    options: &CheckOptions,
-    sub_specs: &mut BTreeMap<Vec<(usize, usize)>, ObservationSet>,
-    history: &History,
-) -> CachedVerdict {
-    let (reduced, removed) = reduce_spurious(history, &options.spurious_failures);
-    // The monitor backend needs no sub-test spec (see `full_verdict`).
-    let sub_index = (options.witness_monitor.is_none() && !removed.is_empty()).then(|| {
+    let sub_index = (!removed.is_empty()).then(|| {
         sub_specs
             .entry(removed)
             .or_insert_with_key(|cells| synthesize_spec(target, &reduced_matrix(matrix, cells)).0)
             .index()
     });
+    let index = sub_index.as_ref().unwrap_or(index);
+    let async_methods = &options.async_methods;
+    if complete {
+        let q = WitnessQuery::for_full_relaxed(&reduced, async_methods);
+        return match find_witness(index, &q) {
+            Some(_) => CachedVerdict::Pass,
+            None => CachedVerdict::NoWitness,
+        };
+    }
     let unjustified = reduced.pending_ops().into_iter().find(|&e| {
-        if let Some(monitor) = &options.witness_monitor {
-            return !monitor.0.check_stuck(&reduced, e, &options.async_methods);
-        }
-        let q = WitnessQuery::for_stuck_relaxed(&reduced, e, &options.async_methods);
-        find_witness(sub_index.as_ref().unwrap_or(index), &q).is_none()
+        let q = WitnessQuery::for_stuck_relaxed(&reduced, e, async_methods);
+        find_witness(index, &q).is_none()
     });
     unjustified.map_or(CachedVerdict::Pass, |pending| {
         CachedVerdict::StuckNoWitness { pending }
@@ -1443,13 +1325,14 @@ mod tests {
         let (reduced, removed) = reduce_spurious(&overlapped, &opts.spurious_failures);
         assert!(reduced.ops.is_empty());
         assert_eq!(removed, vec![(0, 0), (1, 0)]);
-        let verdict = full_verdict(
+        let verdict = witness_verdict(
             &EmptyBag,
             &m,
             &report.spec.index(),
             &opts,
             &mut BTreeMap::new(),
             &overlapped,
+            true,
         );
         assert!(matches!(verdict, CachedVerdict::Pass));
     }

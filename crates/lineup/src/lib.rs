@@ -70,8 +70,7 @@ pub use auto::{
     RandomCheckResult,
 };
 pub use check::{
-    check, check_against_spec, synthesize_spec, CheckOptions, CheckReport, HistoryMonitor,
-    MonitorHandle, PhaseStats, Violation,
+    check, check_against_spec, synthesize_spec, CheckOptions, CheckReport, PhaseStats, Violation,
 };
 pub use erased::ErasedTarget;
 pub use harness::{explore_matrix, explore_matrix_with_strategy, replay_matrix, MatrixRun};

@@ -390,7 +390,7 @@ impl TestMatrix {
     ///
     /// Returns the empty structure under [`SymmetryPolicy::Disabled`],
     /// for single-column tests, and beyond
-    /// [`Self::MAX_SYMMETRY_THREADS`] columns.
+    /// `MAX_SYMMETRY_THREADS` columns.
     pub fn symmetry_groups(&self, policy: SymmetryPolicy) -> SymmetryGroups {
         if policy == SymmetryPolicy::Disabled
             || self.columns.len() < 2

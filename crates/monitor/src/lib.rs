@@ -3,8 +3,9 @@
 //!
 //! The core `lineup` crate checks histories by *looking up* serial
 //! witnesses in a pre-enumerated observation set. This crate adds the
-//! complementary, monitor-style backend (Wing & Gong's algorithm with
-//! Lowe's state memoization and Horn & Kroening's P-compositionality):
+//! complementary monitor, which *decides* linearizability of an arbitrary
+//! recorded history (Wing & Gong's algorithm with Lowe's state
+//! memoization):
 //!
 //! * [`SeqOracle`] — an executable deterministic sequential specification,
 //!   stepped on demand. Write one by hand with [`FnOracle`], or let
@@ -12,29 +13,32 @@
 //!   itself serially (Line-Up's "the implementation is its own spec").
 //! * [`Monitor`] — decides whether a recorded [`History`](lineup::History)
 //!   is linearizable against the oracle, including the *stuck* variant for
-//!   blocking operations and the asynchronous relaxation. It implements
-//!   [`lineup::HistoryMonitor`], so it plugs into
-//!   [`lineup::CheckOptions::with_monitor_backend`] as an alternative
-//!   phase-2 witness backend.
+//!   blocking operations and the asynchronous relaxation. Annotated with
+//!   an [`AdtKind`](lineup::AdtKind), it decides unambiguous histories
+//!   with a specialized log-linear checker first.
 //! * [`run_stress`] — executes a test matrix on real OS threads (the
 //!   instrumented primitives pass through to `std::sync` outside the model
 //!   checker), records call/return histories, and monitors them online.
 //!
-//! # Example: model checking with the monitor backend
+//! # Example: checking one history
 //!
 //! ```
 //! use std::sync::Arc;
-//! use lineup::{check, CheckOptions, Invocation, TestMatrix};
+//! use lineup::{History, Invocation, Value};
 //! use lineup::doc_support::CounterTarget;
-//! use lineup_monitor::monitor_backend;
+//! use lineup_monitor::{Monitor, ReplayOracle};
 //!
-//! let m = TestMatrix::from_columns(vec![
-//!     vec![Invocation::new("inc")],
-//!     vec![Invocation::new("inc"), Invocation::new("get")],
-//! ]);
-//! let options = CheckOptions::new()
-//!     .with_monitor_backend(monitor_backend(Arc::new(CounterTarget), &m));
-//! assert!(check(&CounterTarget, &m, &options).passed());
+//! // Two overlapping `inc`s, then `get` returns 1: a lost update.
+//! let mut h = History::new(2);
+//! let a = h.push_call(0, Invocation::new("inc"));
+//! let b = h.push_call(1, Invocation::new("inc"));
+//! h.push_return(a, Value::Unit);
+//! h.push_return(b, Value::Unit);
+//! let get = h.push_call(0, Invocation::new("get"));
+//! h.push_return(get, Value::Int(1));
+//!
+//! let monitor = Monitor::new(ReplayOracle::new(Arc::new(CounterTarget), Vec::new()));
+//! assert!(!monitor.check_full(&h, &[]));
 //! ```
 //!
 //! # Example: native stress testing
@@ -67,47 +71,6 @@ pub(crate) mod specialized;
 pub mod stress;
 
 pub use ideal::{ideal_oracle, ideal_oracle_from, ideal_step, state_invocations, IdealStep};
-pub use linearize::{Monitor, MonitorStats, PartitionFn};
+pub use linearize::{Monitor, MonitorStats};
 pub use oracle::{FnOracle, ReplayOracle, SeqOracle, StepResult, TracedOp};
 pub use stress::{run_stress, StressOptions, StressReport, StressViolation};
-
-use std::sync::Arc;
-
-use lineup::{AdtKind, ErasedTarget, MonitorHandle, TestMatrix};
-
-/// Builds the automatic monitor backend for a test: a [`Monitor`] over a
-/// [`ReplayOracle`] that replays `target` with the matrix's init sequence,
-/// wrapped for [`lineup::CheckOptions::with_monitor_backend`].
-pub fn monitor_backend(
-    target: Arc<dyn ErasedTarget + Send + Sync>,
-    matrix: &TestMatrix,
-) -> Arc<Monitor<ReplayOracle>> {
-    Arc::new(Monitor::new(ReplayOracle::new(target, matrix.init.clone())))
-}
-
-/// Like [`monitor_backend`], additionally annotating the monitor with the
-/// target's [`AdtKind`] (when known): checks then take the specialized
-/// log-linear path for unambiguous histories and fall back to the
-/// Wing–Gong search otherwise. `None` behaves exactly like
-/// [`monitor_backend`].
-pub fn adt_monitor_backend(
-    target: Arc<dyn ErasedTarget + Send + Sync>,
-    matrix: &TestMatrix,
-    kind: Option<AdtKind>,
-) -> Arc<Monitor<ReplayOracle>> {
-    let mut monitor = Monitor::new(ReplayOracle::new(target, matrix.init.clone()))
-        .with_adt_init(matrix.init.clone());
-    if let Some(kind) = kind {
-        monitor = monitor.with_adt_kind(kind);
-    }
-    Arc::new(monitor)
-}
-
-/// Convenience: the same backend as [`monitor_backend`], pre-wrapped in a
-/// [`MonitorHandle`] (useful when constructing `CheckOptions` manually).
-pub fn monitor_handle(
-    target: Arc<dyn ErasedTarget + Send + Sync>,
-    matrix: &TestMatrix,
-) -> MonitorHandle {
-    MonitorHandle(monitor_backend(target, matrix))
-}

@@ -11,39 +11,26 @@
 //! recorded histories, not only those of a pre-enumerated test, which is
 //! what the native stress runner (see [`crate::stress`]) needs.
 //!
-//! Two classic optimizations keep the search tractable:
-//!
-//! * **Memoized configurations** (Lowe's extension of Wing–Gong): a search
-//!   configuration is the set of linearized operations *plus the oracle
-//!   state*; configurations that failed once are never re-explored. The
-//!   oracle state is part of the key because the oracle is a black box —
-//!   two linearizations of the same set may reach different states. An
-//!   oracle whose state equality *over*-distinguishes (a
-//!   [`ReplayOracle`](crate::ReplayOracle)'s state is the whole trace, so
-//!   no two orders ever compare equal) supplies a coarser
-//!   [`SeqOracle::canonical_key`] and the memo keys on that instead.
-//! * **P-compositionality** (Horn & Kroening): when a partition function
-//!   maps every operation to an independent sub-object (e.g. a dictionary
-//!   key), each partition is checked on its own — the monitor then runs
-//!   once per partition on a far smaller history. Any operation the
-//!   function cannot place (returns `None`) disables partitioning for
-//!   that history, which is always sound.
+//! **Memoized configurations** (Lowe's extension of Wing–Gong) keep the
+//! search tractable: a search configuration is the set of linearized
+//! operations *plus the oracle state*; configurations that failed once are
+//! never re-explored. The oracle state is part of the key because the
+//! oracle is a black box — two linearizations of the same set may reach
+//! different states. An oracle whose state equality *over*-distinguishes
+//! (a [`ReplayOracle`](crate::ReplayOracle)'s state is the whole trace, so
+//! no two orders ever compare equal) supplies a coarser
+//! [`SeqOracle::canonical_key`] and the memo keys on that instead.
 
-use std::collections::{BTreeMap, HashSet};
-use std::sync::{Arc, Mutex};
+use std::collections::HashSet;
+use std::sync::Mutex;
 
 use lineup::{
-    AdtKind, FallbackReason, History, HistoryMonitor, Invocation, MonitorPathStats, OpIndex,
-    Outcome, SerialHistory, SpecOp, Value,
+    AdtKind, FallbackReason, History, Invocation, MonitorPathStats, OpIndex, Outcome,
+    SerialHistory, SpecOp,
 };
 
 use crate::oracle::{SeqOracle, StepResult, TracedOp};
 use crate::specialized::{check_specialized, SpecialVerdict};
-
-/// Maps an invocation to the independent sub-object it operates on —
-/// `None` when the operation spans sub-objects (disables partitioning for
-/// histories containing it). See P-compositionality in the module docs.
-pub type PartitionFn = Arc<dyn Fn(&Invocation) -> Option<Value> + Send + Sync>;
 
 /// Counters accumulated across all checks of one [`Monitor`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -54,8 +41,6 @@ pub struct MonitorStats {
     pub oracle_steps: u64,
     /// Search configurations pruned by the memo table.
     pub memo_hits: u64,
-    /// Checks that ran partitioned (P-compositionality applied).
-    pub partitioned_checks: u64,
     /// Which path each check took: the specialized log-linear checker
     /// (for monitors annotated with an [`AdtKind`]) or the general
     /// Wing–Gong search, with a histogram of fallback reasons.
@@ -69,9 +54,6 @@ impl MonitorStats {
             checks: self.checks.saturating_sub(earlier.checks),
             oracle_steps: self.oracle_steps.saturating_sub(earlier.oracle_steps),
             memo_hits: self.memo_hits.saturating_sub(earlier.memo_hits),
-            partitioned_checks: self
-                .partitioned_checks
-                .saturating_sub(earlier.partitioned_checks),
             paths: self.paths.diff_since(&earlier.paths),
         }
     }
@@ -85,7 +67,6 @@ impl MonitorStats {
 /// replays across checks).
 pub struct Monitor<O: SeqOracle> {
     oracle: O,
-    partition: Option<PartitionFn>,
     adt: Option<AdtKind>,
     adt_init: Vec<Invocation>,
     stats: Mutex<MonitorStats>,
@@ -94,8 +75,8 @@ pub struct Monitor<O: SeqOracle> {
 impl<O: SeqOracle> std::fmt::Debug for Monitor<O> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Monitor")
-            .field("partitioned", &self.partition.is_some())
-            .finish()
+            .field("adt", &self.adt)
+            .finish_non_exhaustive()
     }
 }
 
@@ -104,7 +85,6 @@ impl<O: SeqOracle> Monitor<O> {
     pub fn new(oracle: O) -> Self {
         Monitor {
             oracle,
-            partition: None,
             adt: None,
             adt_init: Vec::new(),
             stats: Mutex::new(MonitorStats::default()),
@@ -114,7 +94,7 @@ impl<O: SeqOracle> Monitor<O> {
     /// Annotates the target as implementing `kind`, builder style: checks
     /// route through the specialized log-linear checker first and fall
     /// back to the general search when the history is ambiguous (see
-    /// [`crate::specialized`]). The annotation claims that the target,
+    /// the `specialized` module). The annotation claims that the target,
     /// executed *serially*, behaves as the ideal ADT; with that claim the
     /// fast path agrees with the oracle search on every verdict.
     pub fn with_adt_kind(mut self, kind: AdtKind) -> Self {
@@ -128,15 +108,6 @@ impl<O: SeqOracle> Monitor<O> {
     /// the oracle's start state is non-empty.
     pub fn with_adt_init(mut self, init: Vec<Invocation>) -> Self {
         self.adt_init = init;
-        self
-    }
-
-    /// Enables P-compositional checking with the given partition function,
-    /// builder style. Only sound when operations mapped to different keys
-    /// are independent in the sequential specification (dictionary entries
-    /// under distinct keys, registers of an array, …).
-    pub fn with_partition(mut self, partition: PartitionFn) -> Self {
-        self.partition = Some(partition);
         self
     }
 
@@ -168,8 +139,7 @@ impl<O: SeqOracle> Monitor<O> {
             h.is_complete(),
             "use check_stuck on histories with pending operations"
         );
-        let complete = h.complete_ops();
-        self.check_groups(h, &complete, None, async_methods)
+        self.check(h, None, async_methods)
     }
 
     /// Whether `H[e]` — the complete operations plus the pending operation
@@ -186,16 +156,14 @@ impl<O: SeqOracle> Monitor<O> {
             !h.ops[pending].is_complete(),
             "check_stuck requires a pending operation"
         );
-        let complete = h.complete_ops();
-        self.check_groups(h, &complete, Some(pending), async_methods)
+        self.check(h, Some(pending), async_methods)
     }
 
     /// Finds a linearization of a complete history: the serial witness the
     /// monitor's acceptance is based on, as a [`SerialHistory`] (the same
     /// form phase 1 records, so it can join an
     /// [`ObservationSet`](lineup::ObservationSet) and be serialized with
-    /// [`lineup::write_observation_file`]). Partitioning is *not* used:
-    /// the witness must order the whole history.
+    /// [`lineup::write_observation_file`]).
     ///
     /// # Panics
     ///
@@ -209,8 +177,7 @@ impl<O: SeqOracle> Monitor<O> {
             h.is_complete(),
             "find_linearization requires a complete history"
         );
-        let complete = h.complete_ops();
-        let order = self.search(h, &complete, None, async_methods)?;
+        let order = self.search(h, None, async_methods)?;
         Some(serialize_order(h, &order, None))
     }
 
@@ -230,21 +197,13 @@ impl<O: SeqOracle> Monitor<O> {
             !h.ops[pending].is_complete(),
             "find_stuck_linearization requires a pending operation"
         );
-        let complete = h.complete_ops();
-        let order = self.search(h, &complete, Some(pending), async_methods)?;
+        let order = self.search(h, Some(pending), async_methods)?;
         Some(serialize_order(h, &order, Some(pending)))
     }
 
-    /// Splits the target operations into P-compositional groups and checks
-    /// each; falls back to one group when partitioning is off or
-    /// inapplicable.
-    fn check_groups(
-        &self,
-        h: &History,
-        complete: &[OpIndex],
-        pending: Option<OpIndex>,
-        async_methods: &[String],
-    ) -> bool {
+    /// One check: the specialized path when it decides the history, else
+    /// the general search.
+    fn check(&self, h: &History, pending: Option<OpIndex>, async_methods: &[String]) -> bool {
         {
             let mut stats = self.stats.lock().unwrap();
             stats.checks = stats.checks.saturating_add(1);
@@ -256,16 +215,7 @@ impl<O: SeqOracle> Monitor<O> {
             }
             Err(reason) => self.stats.lock().unwrap().paths.record_fallback(reason),
         }
-        if let Some(groups) = self.partition_groups(h, complete, pending) {
-            {
-                let mut stats = self.stats.lock().unwrap();
-                stats.partitioned_checks = stats.partitioned_checks.saturating_add(1);
-            }
-            return groups
-                .into_iter()
-                .all(|(ops, e)| self.search(h, &ops, e, async_methods).is_some());
-        }
-        self.search(h, complete, pending, async_methods).is_some()
+        self.search(h, pending, async_methods).is_some()
     }
 
     /// Attempts the specialized log-linear path: `Ok(verdict)` when the
@@ -293,44 +243,20 @@ impl<O: SeqOracle> Monitor<O> {
         }
     }
 
-    /// Groups target operations by partition key. `None` when partitioning
-    /// is disabled or some operation has no key (sound fallback).
-    /// Singleton grouping (everything one key) is returned as-is — the
-    /// search cost is the same either way.
-    fn partition_groups(
-        &self,
-        h: &History,
-        complete: &[OpIndex],
-        pending: Option<OpIndex>,
-    ) -> Option<Vec<(Vec<OpIndex>, Option<OpIndex>)>> {
-        let partition = self.partition.as_ref()?;
-        let mut groups: BTreeMap<Value, (Vec<OpIndex>, Option<OpIndex>)> = BTreeMap::new();
-        for &i in complete {
-            let key = partition(&h.ops[i].invocation)?;
-            groups.entry(key).or_default().0.push(i);
-        }
-        if let Some(e) = pending {
-            let key = partition(&h.ops[e].invocation)?;
-            groups.entry(key).or_default().1 = Some(e);
-        }
-        Some(groups.into_values().collect())
-    }
-
-    /// The memoized Wing–Gong search: finds a linearization of `complete`
-    /// (in `h`'s relaxed precedence order) after which the oracle blocks
-    /// on `pending` (if given). Returns the linearization order of the
-    /// complete operations.
+    /// The memoized Wing–Gong search: finds a linearization of `h`'s
+    /// complete operations (in its relaxed precedence order) after which
+    /// the oracle blocks on `pending` (if given). Returns the linearization
+    /// order of the complete operations.
     fn search(
         &self,
         h: &History,
-        complete: &[OpIndex],
         pending: Option<OpIndex>,
         async_methods: &[String],
     ) -> Option<Vec<OpIndex>> {
         // Target ops in call order; per-thread subsequences give program
         // order, which a witness must preserve unconditionally (H|t = S|t)
         // — the async relaxation only drops *cross-thread* constraints.
-        let mut ops: Vec<OpIndex> = complete.to_vec();
+        let mut ops: Vec<OpIndex> = h.complete_ops();
         ops.sort_by_key(|&i| h.ops[i].call_pos);
         let n = ops.len();
         let mut thread_seq: Vec<Vec<usize>> = vec![Vec::new(); h.thread_count];
@@ -526,24 +452,12 @@ impl Bits {
     }
 }
 
-impl<O: SeqOracle> HistoryMonitor for Monitor<O> {
-    fn check_full(&self, history: &History, async_methods: &[String]) -> bool {
-        Monitor::check_full(self, history, async_methods)
-    }
-
-    fn check_stuck(&self, history: &History, pending: OpIndex, async_methods: &[String]) -> bool {
-        Monitor::check_stuck(self, history, pending, async_methods)
-    }
-
-    fn path_stats(&self) -> Option<MonitorPathStats> {
-        Some(self.stats().paths)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::oracle::FnOracle;
+    use lineup::Value;
+    use std::sync::Arc;
 
     /// A counter oracle: inc/get over an i64.
     fn counter() -> Monitor<FnOracle<i64, impl Fn(&i64, &Invocation) -> StepResult<i64>>> {
@@ -708,68 +622,6 @@ mod tests {
             .expect("wait blocks after reset");
         assert!(s.is_stuck());
         assert_eq!(s.ops.last().unwrap().invocation, inv("Wait"));
-    }
-
-    /// A two-slot register file keyed by the first argument — exercises
-    /// P-compositionality.
-    type Regs = (i64, i64);
-    fn regs() -> Monitor<FnOracle<Regs, impl Fn(&Regs, &Invocation) -> StepResult<Regs>>> {
-        let step = |s: &Regs, inv: &Invocation| {
-            let key = match inv.args.first() {
-                Some(Value::Int(k)) => *k,
-                _ => return StepResult::Panics("missing key".into()),
-            };
-            let (a, b) = *s;
-            match inv.name.as_str() {
-                "write" => {
-                    let v = match inv.args.get(1) {
-                        Some(Value::Int(v)) => *v,
-                        _ => return StepResult::Panics("missing value".into()),
-                    };
-                    let next = if key == 0 { (v, b) } else { (a, v) };
-                    StepResult::Returns(Value::Unit, next)
-                }
-                "read" => StepResult::Returns(Value::Int(if key == 0 { a } else { b }), *s),
-                other => StepResult::Panics(format!("unknown {other}")),
-            }
-        };
-        Monitor::new(FnOracle::new((0, 0), step))
-            .with_partition(Arc::new(|inv: &Invocation| inv.args.first().cloned()))
-    }
-
-    fn wr(key: i64, v: i64) -> Invocation {
-        Invocation::with_args("write", [Value::Int(key), Value::Int(v)])
-    }
-
-    fn rd(key: i64) -> Invocation {
-        Invocation::with_int("read", key)
-    }
-
-    #[test]
-    fn partitioned_check_accepts_independent_keys() {
-        // Key 0 and key 1 traffic interleaved; each key alone linearizes.
-        let mut h = History::new(2);
-        let w0 = h.push_call(0, wr(0, 7));
-        let r1 = h.push_call(1, rd(1));
-        h.push_return(w0, Value::Unit);
-        h.push_return(r1, Value::Int(0));
-        let r0 = h.push_call(1, rd(0));
-        h.push_return(r0, Value::Int(7));
-        let m = regs();
-        assert!(m.check_full(&h, &[]));
-        assert_eq!(m.stats().partitioned_checks, 1);
-    }
-
-    #[test]
-    fn partitioned_check_rejects_per_key_violation() {
-        // read(0) -> 0 strictly after write(0,7) returned: key 0 alone is
-        // not linearizable.
-        let mut h = History::new(2);
-        let w0 = h.push_call(0, wr(0, 7));
-        h.push_return(w0, Value::Unit);
-        let r0 = h.push_call(1, rd(0));
-        h.push_return(r0, Value::Int(0));
-        assert!(!regs().check_full(&h, &[]));
     }
 
     #[test]

@@ -63,8 +63,7 @@ pub struct StressOptions {
     /// monitor work. `false` falls back to literal history keys.
     pub symmetry: bool,
     /// Collect the serial witnesses of accepted complete histories into
-    /// [`StressReport::witnesses`] (an extra unpartitioned search per
-    /// distinct history).
+    /// [`StressReport::witnesses`] (an extra search per distinct history).
     pub collect_witnesses: bool,
     /// Stream every run as wire-format events (one object per run) —
     /// e.g. into a capture file replayable by `lineup-server --replay`,

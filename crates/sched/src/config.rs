@@ -98,7 +98,7 @@ pub enum StrategyKind {
     },
     /// Coverage-guided schedule fuzzing (see the
     /// [`coverage`](crate::coverage) module): runs fold per-decision
-    /// coverage signatures into a shared bitmap, novel runs enter a
+    /// coverage signatures into a bitmap, novel runs enter a
     /// corpus of decision vectors, and later runs replay + mutate corpus
     /// parents (flip a choice, splice two parents, extend a truncated
     /// prefix randomly, inject a preemption). Non-exhaustive like

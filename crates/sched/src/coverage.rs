@@ -8,7 +8,7 @@
 //!
 //! * every consulted scheduling decision folds a **coverage signature** —
 //!   a hash of (abstract scheduler state, enabled-thread set, chosen
-//!   thread) — into a fixed-size bitmap ([`CoverageShared`]), where the
+//!   thread) — into a fixed-size bitmap ([`COVERAGE_MAP_BITS`]), where the
 //!   abstract state is the rolling hash of the signatures along the run
 //!   (the AFL `(prev >> 1) ^ cur` edge trick, which distinguishes *paths*
 //!   without storing them);
@@ -30,9 +30,6 @@
 //! discovering new scheduler states. All randomness comes from one seeded [`SmallRng`],
 //! so a fixed seed reproduces the exact run sequence, byte for byte,
 //! on either execution backend.
-
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 
 use rand::distributions::WeightedIndex;
 use rand::rngs::SmallRng;
@@ -90,94 +87,6 @@ struct Corpus {
     evict: usize,
 }
 
-/// The feedback state shared by every [`CoverageStrategy`] attached to
-/// it: the coverage bitmap, the corpus, and the campaign counters.
-///
-/// The bitmap is plain atomics and the corpus a mutex, so the state can
-/// sit behind an [`Arc`] under the existing worker infrastructure —
-/// several explorations (e.g. one per OS worker, or successive iterative-
-/// bounding passes) can pool their feedback. A single serial exploration
-/// (the default, and what the determinism suite pins down) touches it
-/// from one thread only, so its evolution is deterministic.
-#[derive(Debug)]
-pub struct CoverageShared {
-    map: Vec<AtomicU64>,
-    bits_set: AtomicU64,
-    mutations: AtomicU64,
-    corpus: Mutex<Corpus>,
-}
-
-impl CoverageShared {
-    /// Creates an empty bitmap and corpus.
-    pub fn new() -> Self {
-        CoverageShared {
-            map: (0..COVERAGE_MAP_BITS / 64)
-                .map(|_| AtomicU64::new(0))
-                .collect(),
-            bits_set: AtomicU64::new(0),
-            mutations: AtomicU64::new(0),
-            corpus: Mutex::new(Corpus::default()),
-        }
-    }
-
-    /// Distinct coverage bits set so far.
-    pub fn coverage_bits(&self) -> u64 {
-        self.bits_set.load(Ordering::Relaxed)
-    }
-
-    /// Current corpus size.
-    pub fn corpus_size(&self) -> u64 {
-        self.corpus
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .entries
-            .len() as u64
-    }
-
-    /// Mutated (corpus-derived) runs executed so far.
-    pub fn mutations(&self) -> u64 {
-        self.mutations.load(Ordering::Relaxed)
-    }
-
-    /// Folds a run's signature slots into the bitmap; returns how many
-    /// bits were newly set.
-    fn absorb(&self, slots: &[usize]) -> u64 {
-        let mut new_bits = 0;
-        for &slot in slots {
-            let bit = 1u64 << (slot % 64);
-            let prev = self.map[slot / 64].fetch_or(bit, Ordering::Relaxed);
-            if prev & bit == 0 {
-                new_bits += 1;
-            }
-        }
-        if new_bits > 0 {
-            self.bits_set.fetch_add(new_bits, Ordering::Relaxed);
-        }
-        new_bits
-    }
-
-    fn push_corpus(&self, decisions: Vec<usize>, new_bits: u64) {
-        let mut corpus = self.corpus.lock().unwrap_or_else(|e| e.into_inner());
-        let entry = CorpusEntry {
-            decisions,
-            weight: new_bits.clamp(1, PARENT_WEIGHT_CAP),
-        };
-        if corpus.entries.len() < CORPUS_CAP {
-            corpus.entries.push(entry);
-        } else {
-            let slot = corpus.evict;
-            corpus.entries[slot] = entry;
-            corpus.evict = (slot + 1) % CORPUS_CAP;
-        }
-    }
-}
-
-impl Default for CoverageShared {
-    fn default() -> Self {
-        CoverageShared::new()
-    }
-}
-
 /// SplitMix64 finalizer: a cheap full-avalanche mix for the signature
 /// hash (the same mixer the rand stub's seeder uses).
 fn mix(mut z: u64) -> u64 {
@@ -223,7 +132,13 @@ enum Mutation {
 pub struct CoverageStrategy {
     rng: SmallRng,
     runs_left: u64,
-    shared: Arc<CoverageShared>,
+    /// The coverage bitmap, [`COVERAGE_MAP_BITS`] bits.
+    map: Vec<u64>,
+    /// Distinct bits set in `map`.
+    bits_set: u64,
+    /// Mutated (corpus-derived) runs executed so far.
+    mutations: u64,
+    corpus: Corpus,
     /// Decision template for this run: a (possibly spliced or truncated)
     /// corpus parent; empty for a fresh random walk.
     template: Vec<usize>,
@@ -271,19 +186,16 @@ const MAX_PREEMPT_POINTS: usize = 3;
 const MUTATION_WEIGHTS: [u64; 4] = [3, 2, 3, 5]; // Flip, Splice, Extend, Preempt
 
 impl CoverageStrategy {
-    /// Creates a coverage-guided exploration with its own fresh feedback
-    /// state, performing at most `runs` runs.
+    /// Creates a coverage-guided exploration with an empty bitmap and
+    /// corpus, performing at most `runs` runs.
     pub fn new(seed: u64, runs: u64) -> Self {
-        Self::with_shared(seed, runs, Arc::new(CoverageShared::new()))
-    }
-
-    /// Creates a strategy feeding and fed by an existing shared bitmap +
-    /// corpus (e.g. one pooled across workers or exploration passes).
-    pub fn with_shared(seed: u64, runs: u64, shared: Arc<CoverageShared>) -> Self {
         CoverageStrategy {
             rng: SmallRng::seed_from_u64(seed),
             runs_left: runs,
-            shared,
+            map: vec![0; COVERAGE_MAP_BITS / 64],
+            bits_set: 0,
+            mutations: 0,
+            corpus: Corpus::default(),
             template: Vec::new(),
             points: Vec::new(),
             mutation: Mutation::Fresh,
@@ -293,9 +205,34 @@ impl CoverageStrategy {
         }
     }
 
-    /// The shared feedback state (to pool across strategies).
-    pub fn shared(&self) -> Arc<CoverageShared> {
-        Arc::clone(&self.shared)
+    /// Folds this run's signature slots into the bitmap; returns how many
+    /// bits were newly set.
+    fn absorb(&mut self) -> u64 {
+        let mut new_bits = 0;
+        for &slot in &self.sig {
+            let bit = 1u64 << (slot % 64);
+            let word = &mut self.map[slot / 64];
+            if *word & bit == 0 {
+                *word |= bit;
+                new_bits += 1;
+            }
+        }
+        self.bits_set += new_bits;
+        new_bits
+    }
+
+    fn push_corpus(&mut self, decisions: Vec<usize>, new_bits: u64) {
+        let entry = CorpusEntry {
+            decisions,
+            weight: new_bits.clamp(1, PARENT_WEIGHT_CAP),
+        };
+        let corpus = &mut self.corpus;
+        if corpus.entries.len() < CORPUS_CAP {
+            corpus.entries.push(entry);
+        } else {
+            corpus.entries[corpus.evict] = entry;
+            corpus.evict = (corpus.evict + 1) % CORPUS_CAP;
+        }
     }
 
     /// Draws a mutation point in `0..len`, biased toward the front (the
@@ -316,7 +253,7 @@ impl CoverageStrategy {
         self.template.clear();
         self.points.clear();
         self.mutation = Mutation::Fresh;
-        let corpus = self.shared.corpus.lock().unwrap_or_else(|e| e.into_inner());
+        let corpus = &self.corpus;
         if corpus.entries.is_empty() || self.rng.gen_range(0..16u64) < FRESH_IN_16 {
             return;
         }
@@ -451,13 +388,13 @@ impl Strategy for CoverageStrategy {
     }
 
     fn end_run(&mut self) -> bool {
-        let new_bits = self.shared.absorb(&self.sig);
+        let new_bits = self.absorb();
         if new_bits > 0 {
-            self.shared
-                .push_corpus(std::mem::take(&mut self.decisions), new_bits);
+            let decisions = std::mem::take(&mut self.decisions);
+            self.push_corpus(decisions, new_bits);
         }
         if self.mutation != Mutation::Fresh {
-            self.shared.mutations.fetch_add(1, Ordering::Relaxed);
+            self.mutations += 1;
         }
         self.runs_left = self.runs_left.saturating_sub(1);
         self.runs_left > 0
@@ -465,9 +402,9 @@ impl Strategy for CoverageStrategy {
 
     fn coverage_counters(&self) -> Option<CoverageCounters> {
         Some(CoverageCounters {
-            corpus_size: self.shared.corpus_size(),
-            coverage_bits: self.shared.coverage_bits(),
-            mutations: self.shared.mutations(),
+            corpus_size: self.corpus.entries.len() as u64,
+            coverage_bits: self.bits_set,
+            mutations: self.mutations,
         })
     }
 }
@@ -539,22 +476,23 @@ mod tests {
 
     #[test]
     fn identical_rerun_is_not_novel() {
-        let s = CoverageStrategy::new(3, 10);
-        let shared = s.shared();
+        let mut s = CoverageStrategy::new(3, 10);
         // Absorbing the same slots twice must not double-count.
-        assert_eq!(shared.absorb(&[5, 9, 5]), 2);
-        assert_eq!(shared.absorb(&[5, 9]), 0);
-        assert_eq!(shared.coverage_bits(), 2);
+        s.sig = vec![5, 9, 5];
+        assert_eq!(s.absorb(), 2);
+        s.sig = vec![5, 9];
+        assert_eq!(s.absorb(), 0);
+        assert_eq!(s.coverage_counters().unwrap().coverage_bits, 2);
     }
 
     #[test]
     fn corpus_capacity_is_bounded() {
-        let shared = CoverageShared::new();
+        let mut s = CoverageStrategy::new(5, 10);
         for i in 0..(CORPUS_CAP + 50) {
-            shared.push_corpus(vec![i], 1);
+            s.push_corpus(vec![i], 1);
         }
-        assert_eq!(shared.corpus_size() as usize, CORPUS_CAP);
-        let corpus = shared.corpus.lock().unwrap();
+        let corpus = &s.corpus;
+        assert_eq!(corpus.entries.len(), CORPUS_CAP);
         // FIFO recycling: the overflow overwrote the oldest 50 slots.
         assert_eq!(corpus.entries[0].decisions, vec![CORPUS_CAP]);
         assert_eq!(corpus.entries[50].decisions, vec![50]);
@@ -565,7 +503,7 @@ mod tests {
         // Force a Preempt plan and check every mutated point switches
         // away from candidate 0 (the continuation).
         let mut s = CoverageStrategy::new(11, 1000);
-        s.shared.push_corpus(vec![0; 8], 4);
+        s.push_corpus(vec![0; 8], 4);
         let mut saw_preempt_divergence = false;
         let mut saw_multi_point = false;
         for _ in 0..400 {
@@ -590,7 +528,7 @@ mod tests {
     #[test]
     fn flip_mutation_changes_exactly_the_point() {
         let mut s = CoverageStrategy::new(13, 1000);
-        s.shared.push_corpus(vec![1; 8], 4);
+        s.push_corpus(vec![1; 8], 4);
         for _ in 0..200 {
             let run = drive_run(&mut s, 8, 3);
             if s.mutation == Mutation::Flip {
@@ -616,21 +554,5 @@ mod tests {
             s.end_run();
         }
         panic!("Flip never drawn in 200 plans");
-    }
-
-    #[test]
-    fn shared_state_pools_across_strategies() {
-        let shared = Arc::new(CoverageShared::new());
-        let mut a = CoverageStrategy::with_shared(1, 10, Arc::clone(&shared));
-        drive_run(&mut a, 10, 3);
-        a.end_run();
-        let mut b = CoverageStrategy::with_shared(2, 10, Arc::clone(&shared));
-        assert_eq!(
-            b.coverage_counters().unwrap().coverage_bits,
-            shared.coverage_bits()
-        );
-        drive_run(&mut b, 10, 3);
-        b.end_run();
-        assert_eq!(a.coverage_counters(), b.coverage_counters());
     }
 }

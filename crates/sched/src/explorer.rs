@@ -128,7 +128,7 @@ pub struct ExploreStats {
     /// Longest schedule observed.
     pub max_schedule_len: usize,
     /// Decision vectors in the coverage corpus when the exploration ended
-    /// (see [`CoverageStrategy`](crate::coverage::CoverageStrategy));
+    /// (see [`CoverageStrategy`]);
     /// zero for non-coverage strategies.
     pub corpus_size: u64,
     /// Distinct bits set in the coverage bitmap when the exploration
@@ -172,11 +172,9 @@ impl ExploreStats {
         self.idle_parks = self.idle_parks.saturating_add(other.idle_parks);
         self.steal_replays = self.steal_replays.saturating_add(other.steal_replays);
         self.max_schedule_len = self.max_schedule_len.max(other.max_schedule_len);
-        // Coverage gauges describe the (potentially shared) bitmap and
-        // corpus at exploration end, not per-exploration work: merging
-        // explorations that pooled one `CoverageShared` must not double-
-        // count, so take the maximum. Mutations are per-run events and
-        // sum like the other counters.
+        // Coverage gauges describe a bitmap and corpus at exploration end,
+        // not per-exploration work, so take the maximum. Mutations are
+        // per-run events and sum like the other counters.
         self.corpus_size = self.corpus_size.max(other.corpus_size);
         self.coverage_bits = self.coverage_bits.max(other.coverage_bits);
         self.mutations = self.mutations.saturating_add(other.mutations);

@@ -14,12 +14,12 @@
 //!
 //! # Context switch
 //!
-//! [`raw_switch`] is ~10 instructions of stable inline asm (x86_64 SysV):
+//! `raw_switch` is ~10 instructions of stable inline asm (x86_64 SysV):
 //! push `rbp`/`rbx` and the resume address, store `rsp` into the outgoing
 //! save slot, load the incoming `rsp`, `ret`. All other registers are
 //! declared clobbered, so the compiler spills what it needs around the
 //! switch. One argument rides across the switch in `rdi`: for a resumed
-//! fiber it is the wake token ([`ARG_RUN`]/[`ARG_ABORT`], the fiber-world
+//! fiber it is the wake token (`ARG_RUN`/`ARG_ABORT`, the fiber-world
 //! mirror of [`Wake`](crate::runtime)); for a first entry it is the
 //! [`FiberRt`] pointer — `rdi` is also the first SysV argument register,
 //! so the crafted stack can `ret` straight into the `extern "C"` entry
@@ -29,7 +29,7 @@
 //!
 //! Stacks are `mmap`ed (raw syscalls — no libc dependency) with a
 //! `PROT_NONE` guard page at the low end, recycled across the millions of
-//! runs of an exploration by a [`FiberPool`]: a fiber keeps its stack
+//! runs of an exploration by a `FiberPool`: a fiber keeps its stack
 //! across runs and only re-crafts the entry frame. A soft length check at
 //! every schedule point aborts the run with a clear diagnostic well
 //! before the guard page; the guard page itself is the memory-corruption

@@ -72,7 +72,7 @@ pub mod state;
 pub mod strategy;
 
 pub use config::{Backend, Config, Mode, StrategyKind};
-pub use coverage::{CoverageCounters, CoverageShared, CoverageStrategy, COVERAGE_MAP_BITS};
+pub use coverage::{CoverageCounters, CoverageStrategy, COVERAGE_MAP_BITS};
 pub use events::{AccessEvent, AccessKind};
 pub use explorer::{
     explore, explore_with_strategy, AbandonConfirm, Execution, ExploreStats, LexCancel, RunResult,

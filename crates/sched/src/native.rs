@@ -1,12 +1,13 @@
 //! Native passthrough mode: run instrumented code on real OS threads.
 //!
 //! The `lineup-sync` primitives are written against the runtime API of
-//! this crate ([`schedule`](crate::schedule), [`block_current`]
-//! (crate::block_current), [`unblock`](crate::unblock), …). Under the
-//! model checker those calls cooperate with the baton-passing scheduler;
-//! outside any execution they are no-ops — except that blocking is
-//! impossible (every OS thread shares one pseudo thread id, so ownership
-//! keys collide, and [`block_current`](crate::block_current) panics).
+//! this crate ([`schedule`](crate::schedule),
+//! [`block_current`](crate::block_current), [`unblock`](crate::unblock),
+//! …). Under the model checker those calls cooperate with the
+//! baton-passing scheduler; outside any execution they are no-ops — except
+//! that blocking is impossible (every OS thread shares one pseudo thread
+//! id, so ownership keys collide, and
+//! [`block_current`](crate::block_current) panics).
 //!
 //! Native mode fills that gap for *stress testing*: an OS thread that
 //! registers itself with [`register_native_thread`] gets

@@ -12,7 +12,7 @@
 //! # Baton mechanics
 //!
 //! The handoff is *targeted*: every virtual thread (and the controller)
-//! owns a [`WakeSlot`], a one-token parker. The thread releasing the baton
+//! owns a `WakeSlot`, a one-token parker. The thread releasing the baton
 //! signals exactly the chosen successor's slot — no shared condition
 //! variable, no broadcast waking every parked thread just so one can
 //! proceed. A token can be deposited before the receiver parks (the run's
@@ -26,7 +26,7 @@
 //! schedule/decision recording, POR footprint settlement), but the
 //! *handoff* is skipped — no park, no unpark, no OS context switch. Only
 //! the handoff is skippable: skipping the point itself would change which
-//! interleavings exist and break replay. [`Config::fast_path`] forces the
+//! interleavings exist and break replay. [`Config::fast_path`](crate::Config::fast_path) forces the
 //! slow slot-based handoff for equivalence testing.
 
 use std::cell::RefCell;

@@ -251,7 +251,7 @@ impl DfsStrategy {
     /// branch currently being explored, plus every other still-awake
     /// branch the victim will explore first. Thread nodes on the path down
     /// to the split point are promoted to full expansion (see
-    /// [`ThreadNode::splittable`]) *before* the stolen branch is chosen,
+    /// `ThreadNode::splittable`) *before* the stolen branch is chosen,
     /// so the candidate set can only shrink afterwards and the
     /// stolen-branch-is-last invariant holds for the rest of the victim's
     /// exploration.

@@ -59,9 +59,10 @@ impl Engine {
         }
     }
 
-    /// Registers (or re-registers) `object`. Re-registering an id whose
-    /// previous generation ended starts a fresh history under the same
-    /// id; the old generation's counters fold into the totals.
+    /// Registers (or re-registers) `object`, starting a fresh history
+    /// under the id. An id that is still live first ends its previous
+    /// generation, as `ObjectEnd { stuck: false }` would, so the open
+    /// window is checked before the old counters fold into the totals.
     pub fn register(&self, object: u64, kind: Option<AdtKind>, threads: u32) -> Arc<Mutex<Shard>> {
         let shard = Arc::new(Mutex::new(
             Shard::new(kind, threads, &self.config.shard)
@@ -73,7 +74,9 @@ impl Engine {
             .unwrap()
             .insert(object, Arc::clone(&shard));
         if let Some(previous) = previous {
-            self.fold(&previous.lock().unwrap());
+            let mut previous = previous.lock().unwrap();
+            previous.end(false);
+            self.fold(&previous);
         }
         shard
     }
@@ -222,5 +225,57 @@ impl Engine {
             live_violations,
             counters: totals,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lineup::Value;
+
+    #[test]
+    fn registering_a_live_id_again_checks_its_open_window() {
+        let engine = Engine::new(EngineConfig::default());
+        let mut cache = None;
+        let register = Record::ObjectRegister {
+            object: 1,
+            kind: Some(AdtKind::Queue),
+            threads: 1,
+        };
+        engine.apply(register.clone(), &mut cache);
+        // Dequeuing a value never enqueued, in a window far below the
+        // close target: only ending the generation checks it.
+        for (name, args, value) in [
+            ("Enqueue", vec![Value::int(1)], Value::Unit),
+            ("TryDequeue", vec![], Value::some(Value::int(2))),
+        ] {
+            let (object, thread, ts) = (1, 0, 0);
+            engine.apply(
+                Record::Call {
+                    object,
+                    thread,
+                    ts,
+                    name,
+                    args,
+                },
+                &mut cache,
+            );
+            engine.apply(
+                Record::Return {
+                    object,
+                    thread,
+                    ts,
+                    value,
+                },
+                &mut cache,
+            );
+        }
+        engine.apply(register, &mut cache);
+        let snapshot = engine.snapshot();
+        assert_eq!(snapshot.objects_finished, 1);
+        assert_eq!(snapshot.objects_live, 1);
+        assert_eq!(snapshot.counters.checks, 1);
+        assert_eq!(snapshot.counters.violations, 1);
+        assert_eq!(snapshot.protocol_errors, 0);
     }
 }

@@ -9,58 +9,11 @@
 //! parallel exploration. The only permitted difference is the split of
 //! steps between `fast_path_steps` and `handoffs`.
 
-use lineup::{replay_matrix, CheckOptions, TestMatrix, Violation};
-use lineup_collections::registry::{all_classes, ClassEntry};
+mod support;
 
-/// Renders the full violation list, decisions included: the fast path
-/// must not change the exploration order, so unlike the POR equivalence
-/// tests no sorting or deduplication is allowed here.
-fn rendered(violations: &[Violation]) -> Vec<String> {
-    violations.iter().map(|v| format!("{v:?}")).collect()
-}
-
-/// A small matrix exercising `entry`: its own regression matrix when it
-/// has one, else the seeded sibling's (same component, same methods),
-/// else a minimal two-column test from the target's catalog.
-fn matrix_for(entry: &ClassEntry, all: &[ClassEntry]) -> TestMatrix {
-    if entry.name == "ConcurrentBag" {
-        // The bag's `TryTake` scans every per-thread list; keep the
-        // POR-off baseline finite by comparing on concurrent `Add`s.
-        return TestMatrix::from_columns(vec![
-            vec![lineup::Invocation::with_int("Add", 10)],
-            vec![lineup::Invocation::with_int("Add", 20)],
-        ]);
-    }
-    if let Some(m) = entry.regression_matrix() {
-        return m;
-    }
-    let pre = format!("{} (Pre)", entry.name);
-    if let Some(m) = all
-        .iter()
-        .find(|e| e.name == pre)
-        .and_then(|e| e.regression_matrix())
-    {
-        return m;
-    }
-    let invs = entry.target().invocations();
-    let a = invs[0].clone();
-    let b = invs.get(1).cloned().unwrap_or_else(|| invs[0].clone());
-    TestMatrix::from_columns(vec![vec![a.clone(), b.clone()], vec![b, a]])
-}
-
-/// Shrinks a matrix so the exhaustive exploration stays feasible in a
-/// debug-build test: at most two columns of at most two operations.
-fn small(mut m: TestMatrix) -> TestMatrix {
-    m.columns.truncate(2);
-    if let Some(c) = m.columns.first_mut() {
-        c.truncate(2);
-    }
-    if let Some(c) = m.columns.get_mut(1) {
-        c.truncate(1);
-    }
-    m.finally.truncate(1);
-    m
-}
+use lineup::{replay_matrix, CheckOptions, Violation};
+use lineup_collections::registry::all_classes;
+use support::{matrix_for, rendered, small};
 
 fn exhaustive(por: bool, fast_path: bool) -> CheckOptions {
     CheckOptions::new()

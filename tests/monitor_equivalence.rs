@@ -1,42 +1,34 @@
-//! ISSUE acceptance: on every history recorded under the model checker,
-//! the `lineup-monitor` backend returns the same accept/reject verdict as
-//! the existing `find_witness` path.
+//! The `lineup-monitor` monitor and phase 2's witness search agree on
+//! every history the model checker records. Each regression matrix of
+//! each registry class is explored under the configuration the default
+//! check builds (preemption bound 2); every distinct full history, and
+//! every pending operation of every distinct stuck history, must get the
+//! same accept/reject answer from `Monitor::check_full` /
+//! `Monitor::check_stuck` as from `find_witness` against the phase-1
+//! observation set.
 //!
-//! The comparison runs `check` twice per class — once with the default
-//! SpecIndex witness search, once with
-//! `CheckOptions::with_monitor_backend` — collecting *all* violations.
-//! Since phase 2 checks each distinct history exactly once and reports
-//! every rejection, equal violation lists plus equal distinct-history
-//! counts mean the two backends agreed on every recorded history, full
-//! and stuck alike.
+//! Matrices whose phase 1 panics or is nondeterministic are skipped: the
+//! check rejects them before phase 2, and a replay oracle stands for a
+//! deterministic specification only.
 
-use lineup::{CheckOptions, TestMatrix, Violation};
-use lineup_collections::registry::all_classes;
-use lineup_monitor::{adt_monitor_backend, monitor_backend};
+mod support;
 
-/// Renders a violation without its reproducing `decisions` (the verdict
-/// is per history; the decision path may come from whichever schedule
-/// first reached it).
-fn violation_keys(violations: &[Violation]) -> Vec<String> {
-    violations
-        .iter()
-        .map(|v| match v {
-            Violation::Nondeterminism(nd) => format!("nondeterminism: {nd:?}"),
-            Violation::NoWitness { history, .. } => format!("no-witness: {history:?}"),
-            Violation::StuckNoWitness {
-                history, pending, ..
-            } => format!("stuck-no-witness: {pending:?} {history:?}"),
-            Violation::Panic {
-                message, history, ..
-            } => format!("panic: {message} {history:?}"),
-        })
-        .collect()
-}
+use std::collections::HashSet;
+use std::ops::ControlFlow;
+
+use lineup::{
+    explore_matrix, find_witness, synthesize_spec, MonitorPathStats, TestMatrix, TestTarget,
+    WitnessQuery,
+};
+use lineup_collections::registry::{all_classes, ClassEntry};
+use lineup_monitor::{Monitor, ReplayOracle, SeqOracle};
+use lineup_sched::{Config, RunOutcome};
+use support::with_concrete_target;
 
 /// The matrices to compare a class on: its own regression matrices, or —
 /// for fixed variants, which have no expected root causes — the matrices
 /// of the seeded "(Pre)" sibling, exercised against the fixed code.
-fn matrices_for(entry: &lineup_collections::registry::ClassEntry) -> Vec<TestMatrix> {
+fn matrices_for(entry: &ClassEntry) -> Vec<TestMatrix> {
     let own = entry.regression_matrices();
     if !own.is_empty() {
         return own;
@@ -48,44 +40,86 @@ fn matrices_for(entry: &lineup_collections::registry::ClassEntry) -> Vec<TestMat
         .unwrap_or_default()
 }
 
+/// Asserts that `monitor` and `find_witness` agree on every distinct
+/// history of `matrix`. Returns `false`, comparing nothing, when phase 1
+/// panics or is nondeterministic.
+fn assert_agreement<T: TestTarget, O: SeqOracle>(
+    target: &T,
+    matrix: &TestMatrix,
+    monitor: &Monitor<O>,
+    name: &str,
+) -> bool {
+    let (spec, _, panic) = synthesize_spec(target, matrix);
+    if panic.is_some() || spec.check_determinism().is_some() {
+        return false;
+    }
+    let index = spec.index();
+    let (mut full, mut stuck) = (HashSet::new(), HashSet::new());
+    explore_matrix(target, matrix, &Config::preemption_bounded(2), |run| {
+        match run.outcome {
+            RunOutcome::Complete => {
+                full.insert(run.history);
+            }
+            RunOutcome::Deadlock | RunOutcome::Livelock | RunOutcome::StuckSerial => {
+                stuck.insert(run.history);
+            }
+            RunOutcome::Pruned | RunOutcome::Panicked { .. } | RunOutcome::StepLimit => {}
+        }
+        ControlFlow::Continue(())
+    });
+    for h in &full {
+        assert_eq!(
+            monitor.check_full(h, &[]),
+            find_witness(&index, &WitnessQuery::for_full(h)).is_some(),
+            "{name}: verdict differs on full history {h:?} of\n{matrix}"
+        );
+    }
+    for h in &stuck {
+        for e in h.pending_ops() {
+            assert_eq!(
+                monitor.check_stuck(h, e, &[]),
+                find_witness(&index, &WitnessQuery::for_stuck(h, e)).is_some(),
+                "{name}: verdict differs on pending op {e} of stuck history {h:?} of\n{matrix}"
+            );
+        }
+    }
+    true
+}
+
+/// Runs [`assert_agreement`] on every matrix of `entry`, with the monitor
+/// `make` builds per matrix. Returns the monitors' path counters summed
+/// over the compared matrices, or `None` when no matrix was compared.
+fn agrees_on<O: SeqOracle>(
+    entry: &ClassEntry,
+    make: impl Fn(&TestMatrix) -> Monitor<O>,
+) -> Option<MonitorPathStats> {
+    let mut paths = None;
+    for matrix in matrices_for(entry) {
+        let monitor = make(&matrix);
+        macro_rules! agree {
+            ($target:expr) => {
+                assert_agreement(&$target, &matrix, &monitor, entry.name)
+            };
+        }
+        if with_concrete_target!(entry, agree) {
+            paths
+                .get_or_insert_with(MonitorPathStats::default)
+                .merge(&monitor.stats().paths);
+        }
+    }
+    paths
+}
+
 #[test]
 fn monitor_backend_matches_find_witness_on_all_classes() {
     let mut fixed_checked = 0;
     let mut pre_checked = 0;
     for entry in all_classes() {
-        let matrices = matrices_for(&entry);
-        if matrices.is_empty() {
+        let compared = agrees_on(&entry, |m| {
+            Monitor::new(ReplayOracle::new(entry.target_arc(), m.init.clone()))
+        });
+        if compared.is_none() {
             continue;
-        }
-        for matrix in matrices {
-            let opts = CheckOptions::new().collect_all_violations();
-            let base = entry.target().check(&matrix, &opts);
-            let mon_opts = opts
-                .clone()
-                .with_monitor_backend(monitor_backend(entry.target_arc(), &matrix));
-            let mon = entry.target().check(&matrix, &mon_opts);
-            assert_eq!(
-                base.passed(),
-                mon.passed(),
-                "{}: verdict differs on\n{matrix}",
-                entry.name
-            );
-            assert_eq!(
-                violation_keys(&base.violations),
-                violation_keys(&mon.violations),
-                "{}: violation set differs on\n{matrix}",
-                entry.name
-            );
-            assert_eq!(
-                base.phase2.full_histories, mon.phase2.full_histories,
-                "{}: distinct full histories differ",
-                entry.name
-            );
-            assert_eq!(
-                base.phase2.stuck_histories, mon.phase2.stuck_histories,
-                "{}: distinct stuck histories differ",
-                entry.name
-            );
         }
         if entry.name.ends_with("(Pre)") {
             pre_checked += 1;
@@ -106,67 +140,32 @@ fn kind_annotated_backend_matches_find_witness_on_all_classes() {
     // by the specialized log-linear checkers, the rest fall back to
     // Wing–Gong — and neither path may change any verdict.
     let mut annotated = 0;
+    let mut specialized = 0;
     for entry in all_classes() {
-        let matrices = matrices_for(&entry);
-        if matrices.is_empty() {
-            continue;
-        }
-        for matrix in matrices {
-            let opts = CheckOptions::new().collect_all_violations();
-            let base = entry.target().check(&matrix, &opts);
-            let backend = adt_monitor_backend(entry.target_arc(), &matrix, entry.adt_kind);
-            let mon_opts = opts.clone().with_monitor_backend(backend.clone());
-            let mon = entry.target().check(&matrix, &mon_opts);
-            assert_eq!(
-                base.passed(),
-                mon.passed(),
-                "{}: verdict differs on\n{matrix}",
-                entry.name
-            );
-            assert_eq!(
-                violation_keys(&base.violations),
-                violation_keys(&mon.violations),
-                "{}: violation set differs on\n{matrix}",
-                entry.name
-            );
-            let paths = backend.stats().paths;
-            if entry.adt_kind.is_none() {
-                assert_eq!(
-                    paths.specialized_checks, 0,
-                    "{}: unannotated monitor took a specialized path",
-                    entry.name
-                );
-            } else {
-                annotated += 1;
+        let Some(paths) = agrees_on(&entry, |m| {
+            let monitor = Monitor::new(ReplayOracle::new(entry.target_arc(), m.init.clone()))
+                .with_adt_init(m.init.clone());
+            match entry.adt_kind {
+                Some(kind) => monitor.with_adt_kind(kind),
+                None => monitor,
             }
+        }) else {
+            continue;
+        };
+        if entry.adt_kind.is_none() {
+            assert_eq!(
+                paths.specialized_checks, 0,
+                "{}: unannotated monitor took a specialized path",
+                entry.name
+            );
+        } else {
+            annotated += 1;
+            specialized += paths.specialized_checks;
         }
     }
     assert!(
         annotated >= 3,
         "expected annotated coverage, got {annotated}"
     );
-}
-
-#[test]
-fn monitor_backend_agrees_with_parallel_exploration() {
-    // The backend plugs into the worker-parallel phase 2 the same way as
-    // the serial one (both paths go through the shared verdict helpers).
-    let entry = all_classes()
-        .into_iter()
-        .find(|e| e.name == "ConcurrentDictionary (Pre)")
-        .expect("registry has the seeded dictionary");
-    let matrix = entry.regression_matrix().expect("regression matrix");
-    let opts = CheckOptions::new()
-        .collect_all_violations()
-        .with_monitor_backend(monitor_backend(entry.target_arc(), &matrix));
-    let serial = entry.target().check(&matrix, &opts);
-    let par = entry.target().check(
-        &matrix,
-        &opts.clone().with_workers(4).with_parallel_probe_runs(0),
-    );
-    assert!(!serial.passed());
-    assert_eq!(
-        violation_keys(&serial.violations),
-        violation_keys(&par.violations)
-    );
+    assert!(specialized > 0, "no history took a specialized path");
 }

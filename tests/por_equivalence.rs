@@ -8,80 +8,23 @@
 //! preemption bounds 0–2 (where POR disengages entirely) and under
 //! parallel exploration with two workers.
 
-use lineup::{replay_matrix, CheckOptions, TestMatrix, Violation};
-use lineup_collections::registry::{all_classes, ClassEntry};
+mod support;
+
+use lineup::{replay_matrix, CheckOptions, Violation};
+use lineup_collections::registry::all_classes;
+use support::{matrix_for, small, sorted_keys};
 
 /// Renders a violation without its reproducing `decisions`: POR may reach
 /// a violating history through a different (earlier) schedule than the
 /// unreduced search, but the history itself must be identical.
 fn violation_keys(violations: &[Violation]) -> Vec<String> {
-    let mut keys: Vec<String> = violations
-        .iter()
-        .map(|v| match v {
-            Violation::Nondeterminism(nd) => format!("nondeterminism: {nd:?}"),
-            Violation::NoWitness { history, .. } => format!("no-witness: {history:?}"),
-            Violation::StuckNoWitness {
-                history, pending, ..
-            } => format!("stuck-no-witness: {pending:?} {history:?}"),
-            Violation::Panic {
-                message, history, ..
-            } => format!("panic: {message} {history:?}"),
-        })
-        .collect();
+    let mut keys = sorted_keys(violations, |h| format!("{h:?}"));
     // POR changes the *order* schedules are visited in (hence the order
     // distinct violations are first encountered) and the number of
     // schedules reaching a given violating history (panics are reported
     // per occurrence); the *set* of violations is the promise.
-    keys.sort();
     keys.dedup();
     keys
-}
-
-/// A small matrix exercising `entry`: its own regression matrix when it
-/// has one, else the seeded sibling's (same component, same methods),
-/// else a minimal two-column test from the target's catalog.
-fn matrix_for(entry: &ClassEntry, all: &[ClassEntry]) -> TestMatrix {
-    if entry.name == "ConcurrentBag" {
-        // The bag's `TryTake` scans every per-thread list, so even a
-        // two-operation unreduced baseline exceeds 10⁶ runs (POR needs
-        // ~100) — compare on concurrent `Add`s, whose baseline is finite.
-        return TestMatrix::from_columns(vec![
-            vec![lineup::Invocation::with_int("Add", 10)],
-            vec![lineup::Invocation::with_int("Add", 20)],
-        ]);
-    }
-    if let Some(m) = entry.regression_matrix() {
-        return m;
-    }
-    let pre = format!("{} (Pre)", entry.name);
-    if let Some(m) = all
-        .iter()
-        .find(|e| e.name == pre)
-        .and_then(|e| e.regression_matrix())
-    {
-        return m;
-    }
-    let invs = entry.target().invocations();
-    let a = invs[0].clone();
-    let b = invs.get(1).cloned().unwrap_or_else(|| invs[0].clone());
-    TestMatrix::from_columns(vec![vec![a.clone(), b.clone()], vec![b, a]])
-}
-
-/// Shrinks a matrix so the *unreduced* exhaustive baseline stays feasible
-/// in a debug-build test: at most two columns of at most two operations
-/// (the reduction factors in `EXPERIMENTS.md` are measured on the full
-/// matrices instead). Equivalence on the truncated
-/// test still exercises the class's real operations and conflicts.
-fn small(mut m: TestMatrix) -> TestMatrix {
-    m.columns.truncate(2);
-    if let Some(c) = m.columns.first_mut() {
-        c.truncate(2);
-    }
-    if let Some(c) = m.columns.get_mut(1) {
-        c.truncate(1);
-    }
-    m.finally.truncate(1);
-    m
 }
 
 fn exhaustive(por: bool) -> CheckOptions {

@@ -19,6 +19,8 @@
 //!   history sets* — and with them verdicts and the set of violating
 //!   histories — are still exactly the one-worker ones.
 
+mod support;
+
 use std::collections::HashSet;
 use std::ops::ControlFlow;
 
@@ -26,77 +28,9 @@ use lineup::{
     check_against_spec, explore_matrix, find_witness, synthesize_spec, Backend, CheckOptions,
     History, TestMatrix, TestTarget, Violation, WitnessQuery,
 };
-use lineup_collections::registry::{all_classes, ClassEntry};
+use lineup_collections::registry::all_classes;
 use lineup_sched::{Config, RunOutcome};
-
-/// Renders the full violation list, decisions included, for the
-/// byte-identical (POR-off) comparisons.
-fn rendered(violations: &[Violation]) -> Vec<String> {
-    violations.iter().map(|v| format!("{v:?}")).collect()
-}
-
-/// Renders a violation without its reproducing `decisions` and sorts, for
-/// the POR-on comparisons where encounter order may legitimately differ.
-fn sorted_keys(violations: &[Violation]) -> Vec<String> {
-    let mut keys: Vec<String> = violations
-        .iter()
-        .map(|v| match v {
-            Violation::Nondeterminism(nd) => format!("nondeterminism: {nd:?}"),
-            Violation::NoWitness { history, .. } => format!("no-witness: {history:?}"),
-            Violation::StuckNoWitness {
-                history, pending, ..
-            } => format!("stuck-no-witness: {pending:?} {history:?}"),
-            Violation::Panic {
-                message, history, ..
-            } => format!("panic: {message} {history:?}"),
-        })
-        .collect();
-    keys.sort();
-    keys
-}
-
-/// A small matrix exercising `entry`: its own regression matrix when it
-/// has one, else the seeded sibling's (same component, same methods),
-/// else a minimal two-column test from the target's catalog.
-fn matrix_for(entry: &ClassEntry, all: &[ClassEntry]) -> TestMatrix {
-    if entry.name == "ConcurrentBag" {
-        // The bag's `TryTake` scans every per-thread list; keep the
-        // POR-off baseline finite by comparing on concurrent `Add`s.
-        return TestMatrix::from_columns(vec![
-            vec![lineup::Invocation::with_int("Add", 10)],
-            vec![lineup::Invocation::with_int("Add", 20)],
-        ]);
-    }
-    if let Some(m) = entry.regression_matrix() {
-        return m;
-    }
-    let pre = format!("{} (Pre)", entry.name);
-    if let Some(m) = all
-        .iter()
-        .find(|e| e.name == pre)
-        .and_then(|e| e.regression_matrix())
-    {
-        return m;
-    }
-    let invs = entry.target().invocations();
-    let a = invs[0].clone();
-    let b = invs.get(1).cloned().unwrap_or_else(|| invs[0].clone());
-    TestMatrix::from_columns(vec![vec![a.clone(), b.clone()], vec![b, a]])
-}
-
-/// Shrinks a matrix so the exhaustive exploration stays feasible in a
-/// debug-build test: at most two columns of at most two operations.
-fn small(mut m: TestMatrix) -> TestMatrix {
-    m.columns.truncate(2);
-    if let Some(c) = m.columns.first_mut() {
-        c.truncate(2);
-    }
-    if let Some(c) = m.columns.get_mut(1) {
-        c.truncate(1);
-    }
-    m.finally.truncate(1);
-    m
-}
+use support::{matrix_for, rendered, small, sorted_keys, with_concrete_target};
 
 fn exhaustive(por: bool, backend: Backend) -> CheckOptions {
     CheckOptions::new()
@@ -221,8 +155,8 @@ fn por_on_matches_serial_history_sets_across_worker_counts() {
             let name = format!("{} (POR) at {workers} workers", entry.name);
             assert_eq!(reduced.passed(), par.passed(), "{name}: verdict");
             assert_eq!(
-                sorted_keys(&reduced.violations),
-                sorted_keys(&par.violations),
+                sorted_keys(&reduced.violations, |h| format!("{h:?}")),
+                sorted_keys(&par.violations, |h| format!("{h:?}")),
                 "{name}: violating histories"
             );
             assert_eq!(
@@ -396,49 +330,15 @@ fn matches_reference<T: TestTarget>(target: &T, matrix: &TestMatrix, name: &str)
 
 #[test]
 fn one_worker_matches_a_bare_reference_loop_on_every_class() {
-    use lineup_collections::*;
     let all = all_classes();
     for entry in &all {
-        let (m, name, variant) = (&small(matrix_for(entry, &all)), entry.name, entry.variant);
+        let (m, name) = (&small(matrix_for(entry, &all)), entry.name);
         // The reference needs the concrete target `all_classes` erased.
         macro_rules! reference {
             ($target:expr) => {
                 matches_reference(&$target, m, name)
             };
         }
-        match name.trim_end_matches(" (Pre)") {
-            "Lazy Initialization" => reference!(lazy::LazyTarget),
-            "ManualResetEvent" => {
-                reference!(manual_reset_event::ManualResetEventTarget { variant })
-            }
-            "SemaphoreSlim" => reference!(semaphore_slim::SemaphoreSlimTarget {
-                variant,
-                initial: 0
-            }),
-            "CountdownEvent" => reference!(countdown_event::CountdownEventTarget {
-                variant,
-                initial: 2
-            }),
-            "ConcurrentDictionary" => {
-                reference!(concurrent_dictionary::ConcurrentDictionaryTarget { variant })
-            }
-            "ConcurrentQueue" => reference!(concurrent_queue::ConcurrentQueueTarget { variant }),
-            "ConcurrentStack" => reference!(concurrent_stack::ConcurrentStackTarget { variant }),
-            "ConcurrentLinkedList" => {
-                reference!(concurrent_linked_list::ConcurrentLinkedListTarget { variant })
-            }
-            "BlockingCollection" => {
-                reference!(blocking_collection::BlockingCollectionTarget { capacity: 2 })
-            }
-            "ConcurrentBag" => reference!(concurrent_bag::ConcurrentBagTarget { variant }),
-            "TaskCompletionSource" => {
-                reference!(task_completion_source::TaskCompletionSourceTarget)
-            }
-            "CancellationTokenSource" => {
-                reference!(cancellation_token_source::CancellationTokenSourceTarget)
-            }
-            "Barrier" => reference!(barrier::BarrierTarget { participants: 2 }),
-            other => panic!("registry entry `{other}` has no concrete target here"),
-        }
+        with_concrete_target!(entry, reference);
     }
 }

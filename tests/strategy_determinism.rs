@@ -14,12 +14,12 @@
 use std::ops::ControlFlow;
 use std::sync::Arc;
 
-use lineup::{explore_matrix, AdtKind, History, TestMatrix};
+use lineup::{check, explore_matrix, AdtKind, CheckOptions, History, TestMatrix, Violation};
 use lineup_collections::concurrent_queue::{fig1_matrix, ConcurrentQueueTarget};
 use lineup_collections::hinted_queue::{fuzz4x4_matrix, HintedQueueTarget};
 use lineup_collections::registry::Variant;
-use lineup_monitor::adt_monitor_backend;
-use lineup_sched::{Backend, Config, RunOutcome};
+use lineup_monitor::{Monitor, ReplayOracle};
+use lineup_sched::{Backend, Config, RunOutcome, StrategyKind};
 
 /// Budget small enough for a debug-build test, large enough that the
 /// coverage strategy's corpus fills and mutated runs dominate (the
@@ -102,6 +102,61 @@ fn random_campaign_is_deterministic() {
     assert_campaign_deterministic("random", || Config::random(42, RUNS));
 }
 
+/// `check` with a sampling strategy: phase 2 draws at most the run cap
+/// from the strategy, convicts the seeded Fig. 1 queue, passes the fixed
+/// one on the whole budget, and — sampling running on worker 0 alone —
+/// reports the same violations on a repeat call and at any worker count.
+#[test]
+fn sampled_check_convicts_fig1_and_is_deterministic() {
+    const CAP: u64 = 2_000;
+    let strategies = [
+        StrategyKind::Random { seed: 42 },
+        StrategyKind::Pct { seed: 42, depth: 5 },
+        StrategyKind::Coverage { seed: 42 },
+    ];
+    let matrix = fig1_matrix();
+    for strategy in strategies {
+        let coverage = matches!(strategy, StrategyKind::Coverage { .. });
+        let options = CheckOptions::new()
+            .with_strategy(strategy.clone())
+            .with_max_phase2_runs(CAP);
+        let pre = ConcurrentQueueTarget {
+            variant: Variant::Pre,
+        };
+        let report = check(&pre, &matrix, &options);
+        assert!(
+            matches!(report.violations[..], [Violation::NoWitness { .. }]),
+            "{strategy:?}: the seeded queue must be convicted, got {:?}",
+            report.violations
+        );
+        let rendered = format!("{:?}", report.violations);
+        let again = check(&pre, &matrix, &options);
+        assert_eq!(
+            rendered,
+            format!("{:?}", again.violations),
+            "{strategy:?}: a repeat call"
+        );
+        let workers = check(&pre, &matrix, &options.clone().with_workers(4));
+        assert_eq!(
+            rendered,
+            format!("{:?}", workers.violations),
+            "{strategy:?}: four workers"
+        );
+
+        let fixed = ConcurrentQueueTarget {
+            variant: Variant::Fixed,
+        };
+        let report = check(&fixed, &matrix, &options);
+        assert!(report.passed(), "{strategy:?}: {:?}", report.violations);
+        assert_eq!(report.phase2.runs, CAP, "{strategy:?}: the whole budget");
+        assert_eq!(
+            report.phase2.corpus_size > 0,
+            coverage,
+            "{strategy:?}: only Coverage keeps a corpus"
+        );
+    }
+}
+
 /// Runs executed until the monitor rejects a recorded history of the 4×4
 /// hinted queue, or `None` when `config`'s run budget ends first. The
 /// verdict comes from the monitor, not a synthesized specification: phase 1
@@ -109,7 +164,9 @@ fn random_campaign_is_deterministic() {
 fn runs_to_violation(variant: Variant, config: &Config) -> Option<u64> {
     let target = HintedQueueTarget { variant };
     let matrix = fuzz4x4_matrix();
-    let monitor = adt_monitor_backend(Arc::new(target), &matrix, Some(AdtKind::Queue));
+    let monitor = Monitor::new(ReplayOracle::new(Arc::new(target), matrix.init.clone()))
+        .with_adt_init(matrix.init.clone())
+        .with_adt_kind(AdtKind::Queue);
     // Tracked here, not through `stats.stopped_early`, which an exhausted
     // run budget sets too.
     let mut found = false;

@@ -17,8 +17,11 @@
 //! symmetric threads — or the target opts out, like `ConcurrentBag` —
 //! the reports must be byte-identical.
 
+mod support;
+
 use lineup::{Backend, CheckOptions, Invocation, SymmetryGroups, TestMatrix, Violation};
-use lineup_collections::registry::{all_classes, ClassEntry};
+use lineup_collections::registry::all_classes;
+use support::{matrix_for, small, sorted_keys};
 
 /// Renders a violation list up to symmetry: histories are canonicalized
 /// under `groups` so symmetric duplicates from the unreduced search
@@ -26,69 +29,9 @@ use lineup_collections::registry::{all_classes, ClassEntry};
 /// Decisions are dropped (the reduced search may reach a class through
 /// an earlier schedule); the result is sorted and deduplicated.
 fn canonical_keys(groups: &SymmetryGroups, violations: &[Violation]) -> Vec<String> {
-    let mut keys: Vec<String> = violations
-        .iter()
-        .map(|v| match v {
-            Violation::Nondeterminism(nd) => format!("nondeterminism: {nd:?}"),
-            Violation::NoWitness { history, .. } => {
-                format!("no-witness: {:?}", groups.canonicalize(history))
-            }
-            Violation::StuckNoWitness {
-                history, pending, ..
-            } => format!(
-                "stuck-no-witness: {pending:?} {:?}",
-                groups.canonicalize(history)
-            ),
-            Violation::Panic {
-                message, history, ..
-            } => format!("panic: {message} {:?}", groups.canonicalize(history)),
-        })
-        .collect();
-    keys.sort();
+    let mut keys = sorted_keys(violations, |h| format!("{:?}", groups.canonicalize(h)));
     keys.dedup();
     keys
-}
-
-/// A small matrix exercising `entry`: its own regression matrix when it
-/// has one, else the seeded sibling's, else a minimal two-column test
-/// from the target's catalog (same selection as `por_equivalence`).
-fn matrix_for(entry: &ClassEntry, all: &[ClassEntry]) -> TestMatrix {
-    if entry.name == "ConcurrentBag" {
-        return TestMatrix::from_columns(vec![
-            vec![Invocation::with_int("Add", 10)],
-            vec![Invocation::with_int("Add", 20)],
-        ]);
-    }
-    if let Some(m) = entry.regression_matrix() {
-        return m;
-    }
-    let pre = format!("{} (Pre)", entry.name);
-    if let Some(m) = all
-        .iter()
-        .find(|e| e.name == pre)
-        .and_then(|e| e.regression_matrix())
-    {
-        return m;
-    }
-    let invs = entry.target().invocations();
-    let a = invs[0].clone();
-    let b = invs.get(1).cloned().unwrap_or_else(|| invs[0].clone());
-    TestMatrix::from_columns(vec![vec![a.clone(), b.clone()], vec![b, a]])
-}
-
-/// Shrinks a matrix so the unreduced exhaustive baseline stays feasible
-/// in a debug-build test (the reduction factors in `EXPERIMENTS.md` are
-/// measured on the full matrices instead).
-fn small(mut m: TestMatrix) -> TestMatrix {
-    m.columns.truncate(2);
-    if let Some(c) = m.columns.first_mut() {
-        c.truncate(2);
-    }
-    if let Some(c) = m.columns.get_mut(1) {
-        c.truncate(1);
-    }
-    m.finally.truncate(1);
-    m
 }
 
 /// Two value-symmetric producer/consumer columns: the threads differ
