@@ -15,11 +15,12 @@
 //! Unlike the model checker this samples *real* OS-thread interleavings
 //! (with seeded yield injection): fixed classes must stay green across
 //! every run, and the seeded "(Pre)" dictionary must trip the monitor
-//! within the run budget; the process exits 1 otherwise. Monitors are
-//! annotated with each workload's ADT kind, so checks of unambiguous
-//! histories take the specialized log-linear path and the rest fall back
-//! to Wing–Gong. Reports, per workload, the runs, distinct histories,
-//! violations, the specialized/fallback split and the verdict.
+//! within the run budget; the process exits 1 otherwise. Each workload is
+//! monitored against the ideal specification of its ADT kind, the one
+//! `lineup-server` applies: checks of unambiguous histories take the
+//! specialized log-linear path and the rest fall back to Wing–Gong.
+//! Reports, per workload, the runs, distinct histories, violations, the
+//! specialized/fallback split and the verdict.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -29,7 +30,7 @@ use lineup_bench::{arg_num, arg_value, TextTable};
 use lineup_collections::concurrent_dictionary::ConcurrentDictionaryTarget;
 use lineup_collections::concurrent_queue::ConcurrentQueueTarget;
 use lineup_collections::Variant;
-use lineup_monitor::{run_stress, Monitor, ReplayOracle, StressOptions, StressReport};
+use lineup_monitor::{ideal_oracle, run_stress, Monitor, StressOptions, StressReport};
 use lineup_wire::StreamRecorder;
 
 /// `threads` columns of TryAdds on distinct keys, Count at the end: the
@@ -74,15 +75,12 @@ fn measure<T>(
     recorder: Option<Arc<StreamRecorder>>,
 ) -> (&'static str, bool, StressReport)
 where
-    T: TestTarget + Clone + Send + Sync + 'static,
+    T: TestTarget,
     T::Instance: Send + Sync + 'static,
 {
-    let monitor = Monitor::new(ReplayOracle::new(
-        Arc::new(target.clone()),
-        matrix.init.clone(),
-    ))
-    .with_adt_init(matrix.init.clone())
-    .with_adt_kind(kind);
+    // The oracle `lineup-server --replay` applies to the same capture, so
+    // offline and online verdicts agree. The matrices have no init.
+    let monitor = Monitor::new(ideal_oracle(kind)).with_adt_kind(kind);
     let report = run_stress(
         &target,
         matrix,

@@ -1,8 +1,6 @@
 //! The class registry: every class/variant pair of the evaluation, with
 //! the metadata the Table 1 / Table 2 reproduction binaries need.
 
-use std::sync::Arc;
-
 use lineup::{AdtKind, ErasedTarget, Invocation, SymmetryPolicy, TestMatrix};
 
 pub use crate::support::Variant;
@@ -113,7 +111,7 @@ pub struct ClassEntry {
     /// claims ideal-ADT behavior *serially*, which holds for the Pre
     /// variants too: their seeded defects are concurrency races.
     pub adt_kind: Option<AdtKind>,
-    target: Arc<dyn ErasedTarget + Send + Sync>,
+    target: Box<dyn ErasedTarget + Send + Sync>,
 }
 
 impl std::fmt::Debug for ClassEntry {
@@ -131,11 +129,6 @@ impl ClassEntry {
     /// The checking facade for this class.
     pub fn target(&self) -> &(dyn ErasedTarget + Send + Sync) {
         &*self.target
-    }
-
-    /// A shareable handle to the target (for parallel drivers).
-    pub fn target_arc(&self) -> Arc<dyn ErasedTarget + Send + Sync> {
-        Arc::clone(&self.target)
     }
 
     /// The class's thread-symmetry annotation (see [`SymmetryPolicy`]):
@@ -261,7 +254,7 @@ macro_rules! entry {
             loc: include_str!($file).lines().count(),
             expected_root_causes: $causes,
             adt_kind: $kind,
-            target: Arc::new($target),
+            target: Box::new($target),
         }
     };
 }

@@ -75,13 +75,14 @@ macro_rules! int_arg {
 
 #[allow(clippy::ptr_arg)]
 fn queue_step(s: &Vec<i64>, inv: &Invocation) -> StepResult<Vec<i64>> {
+    // Both spellings of the alphabet the specialized queue checker takes.
     match inv.name.as_str() {
-        "Enqueue" => {
+        "Enqueue" | "Add" => {
             let mut next = s.clone();
             next.push(int_arg!(inv));
             StepResult::Returns(Value::Unit, next)
         }
-        "TryDequeue" => match s.first() {
+        "TryDequeue" | "TryTake" => match s.first() {
             Some(&v) => StepResult::Returns(Value::some(Value::int(v)), s[1..].to_vec()),
             None => StepResult::Returns(Value::Fail, s.clone()),
         },
@@ -160,6 +161,8 @@ fn pqueue_step(s: &Vec<i64>, inv: &Invocation) -> StepResult<Vec<i64>> {
 mod tests {
     use super::*;
     use crate::oracle::SeqOracle;
+    use crate::Monitor;
+    use lineup::{FallbackReason, History};
 
     fn run(kind: AdtKind, state: Vec<i64>, inv: Invocation) -> (Value, Vec<i64>) {
         match ideal_step(kind)(&state, &inv) {
@@ -205,9 +208,29 @@ mod tests {
     fn ideal_oracle_from_resumes_mid_state() {
         let oracle = ideal_oracle_from(AdtKind::Queue, vec![7, 8]);
         let s0 = oracle.initial();
-        match oracle.step(&s0, &Invocation::new("TryDequeue")) {
+        match oracle.step(&s0, 0, &Invocation::new("TryDequeue")) {
             StepResult::Returns(v, _) => assert_eq!(v, Value::some(Value::int(7))),
             other => panic!("unexpected: {other:?}"),
         }
+    }
+
+    #[test]
+    fn queue_oracle_takes_the_add_take_alphabet() {
+        // Add(1) ∥ Add(1), then TryTake → 1 twice. The duplicate value
+        // sends the check to the Wing–Gong fallback, so the oracle must
+        // accept the alphabet the specialized queue checker accepts.
+        let mut h = History::new(2);
+        let a = h.push_call(0, Invocation::with_int("Add", 1));
+        let b = h.push_call(1, Invocation::with_int("Add", 1));
+        h.push_return(a, Value::Unit);
+        h.push_return(b, Value::Unit);
+        for _ in 0..2 {
+            let t = h.push_call(0, Invocation::new("TryTake"));
+            h.push_return(t, Value::some(Value::int(1)));
+        }
+        let monitor = Monitor::new(ideal_oracle(AdtKind::Queue)).with_adt_kind(AdtKind::Queue);
+        assert!(monitor.check_full(&h, &[]));
+        let paths = monitor.stats().paths;
+        assert_eq!(paths.fallbacks_for(FallbackReason::DuplicateValue), 1);
     }
 }

@@ -16,20 +16,14 @@
 //! operations *plus the oracle state*; configurations that failed once are
 //! never re-explored. The oracle state is part of the key because the
 //! oracle is a black box — two linearizations of the same set may reach
-//! different states. An oracle whose state equality *over*-distinguishes
-//! (a [`ReplayOracle`](crate::ReplayOracle)'s state is the whole trace, so
-//! no two orders ever compare equal) supplies a coarser
-//! [`SeqOracle::canonical_key`] and the memo keys on that instead.
+//! different states — so the memo is exactly as coarse as state equality.
 
 use std::collections::HashSet;
 use std::sync::Mutex;
 
-use lineup::{
-    AdtKind, FallbackReason, History, Invocation, MonitorPathStats, OpIndex, Outcome,
-    SerialHistory, SpecOp,
-};
+use lineup::{AdtKind, FallbackReason, History, Invocation, MonitorPathStats, OpIndex};
 
-use crate::oracle::{SeqOracle, StepResult, TracedOp};
+use crate::oracle::{SeqOracle, StepResult};
 use crate::specialized::{check_specialized, SpecialVerdict};
 
 /// Counters accumulated across all checks of one [`Monitor`].
@@ -62,9 +56,7 @@ impl MonitorStats {
 /// A linearizability monitor over an executable sequential oracle.
 ///
 /// The monitor is [`Send`]`+`[`Sync`] and keeps no per-check state besides
-/// its statistics, so one instance can serve a whole stress campaign (and
-/// a [`ReplayOracle`](crate::ReplayOracle) inside it shares its memoized
-/// replays across checks).
+/// its statistics, so one instance can serve a whole stress campaign.
 pub struct Monitor<O: SeqOracle> {
     oracle: O,
     adt: Option<AdtKind>,
@@ -111,11 +103,6 @@ impl<O: SeqOracle> Monitor<O> {
         self
     }
 
-    /// The oracle this monitor steps.
-    pub fn oracle(&self) -> &O {
-        &self.oracle
-    }
-
     /// A snapshot of the accumulated statistics.
     pub fn stats(&self) -> MonitorStats {
         self.stats.lock().unwrap().clone()
@@ -159,48 +146,6 @@ impl<O: SeqOracle> Monitor<O> {
         self.check(h, Some(pending), async_methods)
     }
 
-    /// Finds a linearization of a complete history: the serial witness the
-    /// monitor's acceptance is based on, as a [`SerialHistory`] (the same
-    /// form phase 1 records, so it can join an
-    /// [`ObservationSet`](lineup::ObservationSet) and be serialized with
-    /// [`lineup::write_observation_file`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the history has pending operations.
-    pub fn find_linearization(
-        &self,
-        h: &History,
-        async_methods: &[String],
-    ) -> Option<SerialHistory> {
-        assert!(
-            h.is_complete(),
-            "find_linearization requires a complete history"
-        );
-        let order = self.search(h, None, async_methods)?;
-        Some(serialize_order(h, &order, None))
-    }
-
-    /// Like [`find_linearization`](Monitor::find_linearization) for a
-    /// stuck history: the returned serial history ends with `e` pending.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pending` is in fact complete.
-    pub fn find_stuck_linearization(
-        &self,
-        h: &History,
-        pending: OpIndex,
-        async_methods: &[String],
-    ) -> Option<SerialHistory> {
-        assert!(
-            !h.ops[pending].is_complete(),
-            "find_stuck_linearization requires a pending operation"
-        );
-        let order = self.search(h, Some(pending), async_methods)?;
-        Some(serialize_order(h, &order, Some(pending)))
-    }
-
     /// One check: the specialized path when it decides the history, else
     /// the general search.
     fn check(&self, h: &History, pending: Option<OpIndex>, async_methods: &[String]) -> bool {
@@ -215,7 +160,7 @@ impl<O: SeqOracle> Monitor<O> {
             }
             Err(reason) => self.stats.lock().unwrap().paths.record_fallback(reason),
         }
-        self.search(h, pending, async_methods).is_some()
+        self.search(h, pending, async_methods)
     }
 
     /// Attempts the specialized log-linear path: `Ok(verdict)` when the
@@ -243,16 +188,10 @@ impl<O: SeqOracle> Monitor<O> {
         }
     }
 
-    /// The memoized Wing–Gong search: finds a linearization of `h`'s
-    /// complete operations (in its relaxed precedence order) after which
-    /// the oracle blocks on `pending` (if given). Returns the linearization
-    /// order of the complete operations.
-    fn search(
-        &self,
-        h: &History,
-        pending: Option<OpIndex>,
-        async_methods: &[String],
-    ) -> Option<Vec<OpIndex>> {
+    /// The memoized Wing–Gong search: whether some linearization of `h`'s
+    /// complete operations (in its relaxed precedence order) replays
+    /// against the oracle, which then blocks on `pending` (if given).
+    fn search(&self, h: &History, pending: Option<OpIndex>, async_methods: &[String]) -> bool {
         // Target ops in call order; per-thread subsequences give program
         // order, which a witness must preserve unconditionally (H|t = S|t)
         // — the async relaxation only drops *cross-thread* constraints.
@@ -280,18 +219,6 @@ impl<O: SeqOracle> Monitor<O> {
             })
             .collect();
 
-        // The operations this search may step, in thread-major program
-        // order (so searches over different interleavings of one matrix
-        // share the oracle's per-universe canonicalization work). The
-        // pending operation is part of the universe: a canonical key must
-        // also predict whether it blocks at the end.
-        let mut universe: Vec<TracedOp> = ops
-            .iter()
-            .map(|&i| (h.ops[i].thread, h.ops[i].invocation.clone()))
-            .chain(pending.map(|e| (h.ops[e].thread, h.ops[e].invocation.clone())))
-            .collect();
-        universe.sort_by_key(|(t, _)| *t);
-
         let mut search = Search {
             h,
             oracle: &self.oracle,
@@ -299,59 +226,20 @@ impl<O: SeqOracle> Monitor<O> {
             pending,
             thread_seq: &thread_seq,
             blockers: &blockers,
-            universe: &universe,
             memo: HashSet::new(),
             oracle_steps: 0,
             memo_hits: 0,
         };
         let mut mask = Bits::new(n);
-        let mut chosen = Vec::with_capacity(n);
         let state = self.oracle.initial();
-        let found = search.dfs(&mut mask, &state, &mut chosen);
+        let found = search.dfs(&mut mask, &state, 0);
         {
             let mut stats = self.stats.lock().unwrap();
             stats.oracle_steps = stats.oracle_steps.saturating_add(search.oracle_steps);
             stats.memo_hits = stats.memo_hits.saturating_add(search.memo_hits);
         }
-        found.then_some(chosen)
+        found
     }
-}
-
-/// Builds the serial history of a found linearization.
-fn serialize_order(h: &History, order: &[OpIndex], pending: Option<OpIndex>) -> SerialHistory {
-    let mut ops: Vec<SpecOp> = order
-        .iter()
-        .map(|&i| SpecOp {
-            thread: h.ops[i].thread,
-            invocation: h.ops[i].invocation.clone(),
-            outcome: Outcome::Returned(
-                h.ops[i]
-                    .response
-                    .clone()
-                    .expect("linearized op is complete"),
-            ),
-        })
-        .collect();
-    if let Some(e) = pending {
-        ops.push(SpecOp {
-            thread: h.ops[e].thread,
-            invocation: h.ops[e].invocation.clone(),
-            outcome: Outcome::Pending,
-        });
-    }
-    SerialHistory {
-        thread_count: h.thread_count,
-        ops,
-    }
-}
-
-/// The state component of a memo-table entry: the canonical key the
-/// oracle derived for the state, or the state itself when the oracle
-/// declined ([`SeqOracle::canonical_key`] returned `None`).
-#[derive(Clone, PartialEq, Eq, Hash)]
-enum MemoKey<S> {
-    State(S),
-    Canon(Vec<u32>),
 }
 
 /// One in-flight search (borrowed context plus the memo table).
@@ -362,18 +250,16 @@ struct Search<'a, O: SeqOracle> {
     pending: Option<OpIndex>,
     thread_seq: &'a [Vec<usize>],
     blockers: &'a [Vec<usize>],
-    /// Every operation the search may step, in thread-major program order
-    /// (the `universe` of [`SeqOracle::canonical_key`]).
-    universe: &'a [TracedOp],
-    /// Failed configurations: (linearized set, oracle state key).
-    memo: HashSet<(Bits, MemoKey<O::State>)>,
+    /// Failed configurations: (linearized set, oracle state).
+    memo: HashSet<(Bits, O::State)>,
     oracle_steps: u64,
     memo_hits: u64,
 }
 
 impl<O: SeqOracle> Search<'_, O> {
-    fn dfs(&mut self, mask: &mut Bits, state: &O::State, chosen: &mut Vec<OpIndex>) -> bool {
-        if chosen.len() == self.ops.len() {
+    /// Extends a configuration of `depth` linearized operations.
+    fn dfs(&mut self, mask: &mut Bits, state: &O::State, depth: usize) -> bool {
+        if depth == self.ops.len() {
             return match self.pending {
                 None => true,
                 Some(e) => {
@@ -382,17 +268,13 @@ impl<O: SeqOracle> Search<'_, O> {
                     self.oracle_steps += 1;
                     matches!(
                         self.oracle
-                            .step_on(state, self.h.ops[e].thread, &self.h.ops[e].invocation),
+                            .step(state, self.h.ops[e].thread, &self.h.ops[e].invocation),
                         StepResult::Blocks
                     )
                 }
             };
         }
-        let key = match self.oracle.canonical_key(state, self.universe) {
-            Some(canon) => MemoKey::Canon(canon),
-            None => MemoKey::State(state.clone()),
-        };
-        if !self.memo.insert((mask.clone(), key)) {
+        if !self.memo.insert((mask.clone(), state.clone())) {
             self.memo_hits += 1;
             return false;
         }
@@ -409,15 +291,13 @@ impl<O: SeqOracle> Search<'_, O> {
             self.oracle_steps += 1;
             match self
                 .oracle
-                .step_on(state, self.h.ops[op].thread, &self.h.ops[op].invocation)
+                .step(state, self.h.ops[op].thread, &self.h.ops[op].invocation)
             {
                 StepResult::Returns(v, next) if Some(&v) == self.h.ops[op].response.as_ref() => {
                     mask.set(pos);
-                    chosen.push(op);
-                    if self.dfs(mask, &next, chosen) {
+                    if self.dfs(mask, &next, depth + 1) {
                         return true;
                     }
-                    chosen.pop();
                     mask.clear(pos);
                 }
                 // Mismatched response, blocking, or a panic: this op
@@ -455,9 +335,9 @@ impl Bits {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::tests::observed;
     use crate::oracle::FnOracle;
     use lineup::Value;
-    use std::sync::Arc;
 
     /// A counter oracle: inc/get over an i64.
     fn counter() -> Monitor<FnOracle<i64, impl Fn(&i64, &Invocation) -> StepResult<i64>>> {
@@ -592,39 +472,6 @@ mod tests {
     }
 
     #[test]
-    fn linearization_is_returned_and_valid() {
-        let mut h = History::new(2);
-        let i = h.push_call(0, inv("inc"));
-        let g = h.push_call(1, inv("get"));
-        h.push_return(i, Value::Unit);
-        h.push_return(g, Value::Int(1));
-        let m = counter();
-        let s = m.find_linearization(&h, &[]).expect("linearizable");
-        assert_eq!(s.ops.len(), 2);
-        // inc must come first for get to see 1.
-        assert_eq!(s.ops[0].invocation, inv("inc"));
-        assert_eq!(s.ops[1].outcome, Outcome::Returned(Value::Int(1)));
-        // The witness is a witness in lineup's own sense.
-        let q = lineup::WitnessQuery::for_full(&h);
-        assert!(lineup::is_witness(&s, &q));
-    }
-
-    #[test]
-    fn stuck_linearization_ends_pending() {
-        let mut h = History::new(2);
-        let w = h.push_call(0, inv("Wait"));
-        let o = h.push_call(1, inv("Reset"));
-        h.push_return(o, Value::Unit);
-        h.stuck = true;
-        let m = event();
-        let s = m
-            .find_stuck_linearization(&h, w, &[])
-            .expect("wait blocks after reset");
-        assert!(s.is_stuck());
-        assert_eq!(s.ops.last().unwrap().invocation, inv("Wait"));
-    }
-
-    #[test]
     fn memoization_prunes_repeated_configurations() {
         // Three concurrent incs followed by get -> 3: all 6 inc orders
         // collapse to identical (set, state) configurations, so the memo
@@ -652,15 +499,16 @@ mod tests {
 
     #[test]
     fn replay_oracle_memo_fires_on_commuting_operations() {
-        // Regression: the memo key used the oracle state directly, and a
-        // ReplayOracle state is the whole trace — no two linearization
-        // orders ever compared equal, so `MonitorStats::memo_hits` stayed
-        // 0 for every class. With the canonical suffix-
-        // signature key, the three inc orders collapse and the exhaustive
-        // rejection below must register hits.
-        use crate::oracle::ReplayOracle;
+        // The observation oracle's state is the set of serial
+        // continuations, so the three inc orders reach one state and the
+        // exhaustive rejection below must register hits.
         use lineup::doc_support::CounterTarget;
-        let m = Monitor::new(ReplayOracle::new(Arc::new(CounterTarget), Vec::new()));
+        let matrix = lineup::TestMatrix::from_columns(vec![
+            vec![inv("inc"), inv("get")],
+            vec![inv("inc")],
+            vec![inv("inc")],
+        ]);
+        let m = Monitor::new(observed(&CounterTarget, &matrix));
         let mut h = History::new(3);
         let ops: Vec<_> = (0..3).map(|t| h.push_call(t, inv("inc"))).collect();
         for o in ops {
@@ -674,21 +522,26 @@ mod tests {
 
     #[test]
     fn canonical_memo_keeps_order_sensitive_linearizations_apart() {
-        // Soundness guard for the canonical key: concurrent Enqueue(10)
-        // and Enqueue(20) followed by dequeues observing 20 first. Only
-        // the enq(20)-before-enq(10) linearization matches, and the
-        // search tries the failing enq(10)-first order before it — a key
-        // that collapsed the two enqueue orders would memo the failure
-        // and wrongly reject the history.
-        use crate::oracle::ReplayOracle;
+        // Soundness guard for the memo key: concurrent Enqueue(10) and
+        // Enqueue(20) followed by dequeues observing 20 first. Only the
+        // enq(20)-before-enq(10) linearization matches, and the search
+        // tries the failing enq(10)-first order before it — a key that
+        // collapsed the two enqueue orders would memo the failure and
+        // wrongly reject the history.
         use lineup_collections::concurrent_queue::ConcurrentQueueTarget;
         use lineup_collections::registry::Variant;
-        let m = Monitor::new(ReplayOracle::new(
-            Arc::new(ConcurrentQueueTarget {
-                variant: Variant::Fixed,
-            }),
-            Vec::new(),
-        ));
+        let matrix = lineup::TestMatrix::from_columns(vec![
+            vec![
+                Invocation::with_int("Enqueue", 10),
+                inv("TryDequeue"),
+                inv("TryDequeue"),
+            ],
+            vec![Invocation::with_int("Enqueue", 20)],
+        ]);
+        let target = ConcurrentQueueTarget {
+            variant: Variant::Fixed,
+        };
+        let m = Monitor::new(observed(&target, &matrix));
         let mut h = History::new(2);
         let e10 = h.push_call(0, Invocation::with_int("Enqueue", 10));
         let e20 = h.push_call(1, Invocation::with_int("Enqueue", 20));

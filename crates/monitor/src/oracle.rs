@@ -1,18 +1,16 @@
 //! Executable sequential oracles: the specification side of the monitor.
 //!
-//! The witness search of `lineup` consults the *pre-enumerated*
+//! The witness search of `lineup` looks a history's witness up in the
 //! observation set; a monitor instead steps a specification on demand — an
 //! abstract state machine whose transitions are invocations. For Line-Up's
-//! automatic setting the state machine is the component itself, replayed
-//! serially: [`ReplayOracle`] runs any [`ErasedTarget`] one invocation
-//! sequence at a time (with memoization), so the monitor needs no manual
-//! specification either.
+//! automatic setting that specification is the same observation set:
+//! [`ObservationOracle`] steps it directly, so the monitor needs no manual
+//! specification either. [`FnOracle`] wraps a hand-written one.
 
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::{Arc, Mutex};
 
-use lineup::{ErasedTarget, Invocation, Outcome, TestMatrix, Value, Violation};
+use lineup::{Invocation, ObservationSet, Outcome, SpecOp, Value};
 
 /// The result of stepping an oracle with one invocation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -28,12 +26,12 @@ pub enum StepResult<S> {
 
 /// An executable deterministic sequential specification.
 ///
-/// States are compared and hashed for memoization, so two histories (or
-/// two branches of one search) reaching the same abstract state share
-/// their continuations. Determinism is a *precondition*: for a given state
-/// and invocation, `step` must always produce the same result (Line-Up's
-/// phase-1 determinism check establishes exactly this before any monitor
-/// runs).
+/// States are compared and hashed for memoization: the monitor's search
+/// keys failed configurations on `(linearized set, state)`, so two branches
+/// reaching equal states share their continuations. Determinism is a
+/// *precondition*: for a given state, thread and invocation, `step` must
+/// always produce the same result (Line-Up's phase-1 determinism check
+/// establishes exactly this before any monitor runs).
 pub trait SeqOracle: Send + Sync {
     /// The abstract state type.
     type State: Clone + Eq + Hash;
@@ -41,53 +39,20 @@ pub trait SeqOracle: Send + Sync {
     /// The state of a freshly created component (after any init sequence).
     fn initial(&self) -> Self::State;
 
-    /// Performs one operation in the given state.
-    fn step(&self, state: &Self::State, invocation: &Invocation) -> StepResult<Self::State>;
-
-    /// Performs one operation *on behalf of a specific test thread*.
-    ///
-    /// Most sequential specifications are thread-agnostic and the default
-    /// simply forwards to [`step`](SeqOracle::step). Override it for
-    /// components whose serial behavior depends on the performing thread —
-    /// `ConcurrentBag` with its per-thread work-stealing pools is the
-    /// classic case — matching Line-Up's phase 1, which also preserves the
-    /// matrix's thread placement when enumerating serial executions.
-    fn step_on(
+    /// Performs `invocation` on behalf of test thread `thread`. Most
+    /// specifications ignore the thread; components whose serial behavior
+    /// depends on it (`ConcurrentBag`'s per-thread pools) need it, and
+    /// phase 1 preserves the matrix's thread placement the same way.
+    fn step(
         &self,
         state: &Self::State,
         thread: usize,
         invocation: &Invocation,
-    ) -> StepResult<Self::State> {
-        let _ = thread;
-        self.step(state, invocation)
-    }
-
-    /// Derives a *canonical* memo key for `state`, given the `universe` of
-    /// operations the current search draws from, or `None` to memoize on
-    /// the state itself (the default).
-    ///
-    /// The linearization search in [`Monitor`](crate::Monitor) memoizes
-    /// failed configurations by `(linearized set, oracle state)`, which is
-    /// only as coarse as the state's equality. A [`ReplayOracle`] state is
-    /// the whole trace performed so far, so two different orders of the
-    /// same operations never compare equal and the memo never fires.
-    /// Overriding this hook lets such an oracle collapse states that are
-    /// *behaviorally* equivalent for the remainder of the search.
-    ///
-    /// Soundness contract: two states may map to equal keys only if they
-    /// step identically (same [`StepResult`], with successor states again
-    /// mapping to equal keys) on every operation sequence drawn from
-    /// `universe` that extends them in per-thread program order. `universe`
-    /// lists every operation the search may perform, in thread-major
-    /// program order; `state` must be a subsequence of it.
-    fn canonical_key(&self, state: &Self::State, universe: &[TracedOp]) -> Option<Vec<u32>> {
-        let _ = (state, universe);
-        None
-    }
+    ) -> StepResult<Self::State>;
 }
 
-/// A [`SeqOracle`] defined by an initial state and a step closure — handy
-/// for hand-written specifications and tests.
+/// A thread-agnostic [`SeqOracle`] defined by an initial state and a step
+/// closure — handy for hand-written specifications and tests.
 pub struct FnOracle<S, F> {
     initial: S,
     step: F,
@@ -121,399 +86,203 @@ where
         self.initial.clone()
     }
 
-    fn step(&self, state: &S, invocation: &Invocation) -> StepResult<S> {
+    fn step(&self, state: &S, _thread: usize, invocation: &Invocation) -> StepResult<S> {
         (self.step)(state, invocation)
     }
 }
 
-/// A traced operation: the performing test thread and its invocation —
-/// the alphabet of [`ReplayOracle`] states and of the `universe` handed to
-/// [`SeqOracle::canonical_key`].
-pub type TracedOp = (usize, Invocation);
-
-/// The memoized outcome of one invocation sequence.
+/// The automatic oracle: steps the specification phase 1 synthesized.
+///
+/// Every member of the [`ObservationSet`] is one serial execution of the
+/// test. The oracle hash-conses every suffix of every execution as a node
+/// `(operation, tail)`, and a state is the sorted set of nodes that
+/// continue the trace performed so far: its serial continuations. Stepping
+/// keeps the nodes whose head is the performed `(thread, invocation)` and
+/// moves to their tails; the head's outcome says whether the operation
+/// returns a value or blocks, and no matching head means the operation is
+/// outside the test matrix.
+///
+/// Two traces with the same continuations step identically from then on,
+/// and they reach the *same* state, so the monitor's memo needs no coarser
+/// key than state equality: two commuting increments in either order
+/// collapse, two enqueues a later dequeue tells apart do not.
+///
+/// The preconditions are those of witness search against the set: phase 1
+/// finished without a panic, and
+/// [`check_determinism`](ObservationSet::check_determinism) is `None`, so
+/// all heads matching one step share their outcome. The monitor then
+/// accepts exactly the histories of the test that have a serial witness in
+/// the set.
 #[derive(Debug, Clone)]
-enum CachedStep {
-    Returns(Value),
-    Blocks,
-    Panics(String),
+pub struct ObservationOracle {
+    /// Node id → head operation and tail node (`None` where the execution
+    /// ends).
+    nodes: Vec<(SpecOp, Option<u32>)>,
+    /// The nodes of the whole executions.
+    initial: Vec<u32>,
 }
 
-/// The automatic oracle: replays the component itself, serially.
-///
-/// The abstract state is the `(thread, invocation)` trace performed so
-/// far. A step appends one operation and re-runs the whole trace as a
-/// serial test whose matrix preserves the original thread placement: the
-/// trace's threads become columns, and among the serial executions of
-/// that matrix (enumerated with the same phase-1 machinery the witness
-/// search consults) the one realizing exactly the trace order determines
-/// the outcome — the last operation either returns one specific value,
-/// blocks, or panics. Keeping the placement matters for components whose
-/// behavior depends on the performing thread (e.g. `ConcurrentBag`'s
-/// per-thread pools); Line-Up's phase 1 preserves it the same way.
-///
-/// Step results are memoized per trace, shared across threads. The state
-/// is "just" the trace, so trace equality alone would make the
-/// linearization memo in [`Monitor`](crate::Monitor) useless (two orders
-/// of the same operations never compare equal); the oracle therefore
-/// implements [`SeqOracle::canonical_key`] with a *suffix signature* that
-/// collapses traces the universe's serial executions cannot tell apart.
-/// Each probe enumerates the serial schedules of its trace matrix, so the
-/// per-step cost grows with the trace's interleaving count — fine for the
-/// small matrices Line-Up tests are made of, and amortized by the cache.
-pub struct ReplayOracle {
-    target: Arc<dyn ErasedTarget + Send + Sync>,
-    init: Vec<Invocation>,
-    cache: Mutex<HashMap<Vec<TracedOp>, CachedStep>>,
-    universes: Mutex<HashMap<Vec<TracedOp>, Option<Arc<UniverseSpec>>>>,
-}
-
-/// The pre-enumerated serial behavior of one search universe: every serial
-/// execution of the universe's matrix, stored as the per-position
-/// performing thread and outcome (`None` marks the pending operation a
-/// stuck execution ends with). The suffixes of these rows below a trace
-/// are its behavioral signature — see [`ReplayOracle::canonical_key`] —
-/// and the interner gives each distinct suffix a stable small id.
-struct UniverseSpec {
-    rows: Vec<(Vec<usize>, Vec<Option<Value>>)>,
-    interner: Mutex<HashMap<RowSuffix, u32>>,
-}
-
-/// One row suffix: the (thread, outcome) tail of a serial execution below
-/// some trace prefix. `None` outcomes mark the pending final operation of
-/// a stuck execution.
-type RowSuffix = Vec<(usize, Option<Value>)>;
-
-impl std::fmt::Debug for ReplayOracle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ReplayOracle")
-            .field("target", &self.target.name())
-            .field("init", &self.init)
-            .finish()
-    }
-}
-
-impl ReplayOracle {
-    /// Creates an oracle replaying `target`, running `init` (the test
-    /// matrix's init sequence) before every sequence — unrecorded, exactly
-    /// like the model-checking harness does.
-    pub fn new(target: Arc<dyn ErasedTarget + Send + Sync>, init: Vec<Invocation>) -> Self {
-        ReplayOracle {
-            target,
-            init,
-            cache: Mutex::new(HashMap::new()),
-            universes: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// Number of memoized invocation sequences.
-    pub fn cached_sequences(&self) -> usize {
-        self.cache.lock().unwrap().len()
-    }
-
-    fn probe(&self, sequence: &[TracedOp]) -> CachedStep {
-        // Rebuild a test matrix with the trace's thread placement. The
-        // placement is *absolute*: thread `t` becomes column `t`, with
-        // empty columns for threads absent from the trace, so the harness
-        // spawns the performing threads in the same positions as the
-        // original run — components that key behavior on thread identity
-        // (ConcurrentBag's per-slot lists and slot-order stealing) then
-        // see the exact same layout.
-        let width = 1 + sequence.iter().map(|(t, _)| *t).max().unwrap_or(0);
-        let mut columns: Vec<Vec<Invocation>> = vec![Vec::new(); width];
-        for (t, inv) in sequence {
-            columns[*t].push(inv.clone());
-        }
-        let matrix = TestMatrix::from_columns(columns).with_init(self.init.clone());
-        let (set, _, violation) = self.target.synthesize_spec(&matrix);
-        // Among the serial executions, the one following exactly the trace
-        // order (ops not yet invoked cannot affect earlier outcomes, so
-        // its results equal those of any larger test realizing the same
-        // serial prefix). Determinism — checked in phase 1 before any
-        // monitor runs — makes the outcome unique.
-        let mut result: Option<CachedStep> = None;
+impl ObservationOracle {
+    /// Hash-conses the serial executions of `set`.
+    pub fn new(set: &ObservationSet) -> Self {
+        let mut ids: HashMap<(SpecOp, Option<u32>), u32> = HashMap::new();
+        let mut nodes = Vec::new();
+        let mut initial = Vec::new();
         for h in set.iter() {
-            if h.ops.len() != sequence.len() {
-                continue;
+            let mut tail = None;
+            for op in h.ops.iter().rev() {
+                let id = *ids.entry((op.clone(), tail)).or_insert_with_key(|node| {
+                    nodes.push(node.clone());
+                    u32::try_from(nodes.len() - 1).expect("fewer than 2^32 suffixes")
+                });
+                tail = Some(id);
             }
-            let realizes = h
-                .ops
-                .iter()
-                .zip(sequence.iter())
-                .all(|(op, (t, inv))| op.thread == *t && op.invocation == *inv);
-            if !realizes {
-                continue;
-            }
-            let step = match &h.ops[sequence.len() - 1].outcome {
-                Outcome::Returned(v) => CachedStep::Returns(v.clone()),
-                Outcome::Pending => CachedStep::Blocks,
-            };
-            match &result {
-                None => result = Some(step),
-                Some(prev) => assert!(
-                    matches!(
-                        (prev, &step),
-                        (CachedStep::Returns(a), CachedStep::Returns(b)) if a == b
-                    ) || matches!((prev, &step), (CachedStep::Blocks, CachedStep::Blocks)),
-                    "replay oracle: sequential behavior of {:?} is nondeterministic",
-                    sequence
-                ),
-            }
+            initial.extend(tail);
         }
-        match result {
-            Some(step) => step,
-            // The trace order was not realized. With a serial panic the
-            // exploration may have ended before reaching it — and a panic
-            // is never a valid specification step anyway.
-            None => match violation {
-                Some(Violation::Panic { message, .. }) => CachedStep::Panics(message),
-                _ => panic!(
-                    "replay oracle: serial replay never realized its own trace \
-                     (is the target nondeterministic?): {sequence:?}"
-                ),
-            },
-        }
-    }
-
-    /// The serial executions of the universe's matrix, synthesized once
-    /// per distinct universe and shared by every signature computation.
-    /// `None` when the serial enumeration was truncated by a panic — an
-    /// incomplete row set would under-approximate the signatures, so
-    /// canonicalization is declined outright for that universe.
-    fn universe_spec(&self, universe: &[TracedOp]) -> Option<Arc<UniverseSpec>> {
-        if let Some(cached) = self.universes.lock().unwrap().get(universe) {
-            return cached.clone();
-        }
-        let width = 1 + universe.iter().map(|(t, _)| *t).max().unwrap_or(0);
-        let mut columns: Vec<Vec<Invocation>> = vec![Vec::new(); width];
-        for (t, inv) in universe {
-            columns[*t].push(inv.clone());
-        }
-        let matrix = TestMatrix::from_columns(columns).with_init(self.init.clone());
-        let (set, _, violation) = self.target.synthesize_spec(&matrix);
-        let spec = if violation.is_some() {
-            None
-        } else {
-            let rows = set
-                .iter()
-                .map(|h| {
-                    (
-                        h.ops.iter().map(|op| op.thread).collect::<Vec<_>>(),
-                        h.ops
-                            .iter()
-                            .map(|op| match &op.outcome {
-                                Outcome::Returned(v) => Some(v.clone()),
-                                Outcome::Pending => None,
-                            })
-                            .collect::<Vec<_>>(),
-                    )
-                })
-                .collect();
-            Some(Arc::new(UniverseSpec {
-                rows,
-                interner: Mutex::new(HashMap::new()),
-            }))
-        };
-        self.universes
-            .lock()
-            .unwrap()
-            .entry(universe.to_vec())
-            .or_insert(spec)
-            .clone()
-    }
-
-    fn step_traced(&self, state: &[TracedOp], op: TracedOp) -> StepResult<Vec<TracedOp>> {
-        let mut sequence = state.to_vec();
-        sequence.push(op);
-        let cached = {
-            let cache = self.cache.lock().unwrap();
-            cache.get(&sequence).cloned()
-        };
-        let step = match cached {
-            Some(s) => s,
-            None => {
-                // Probe outside the lock: replays are the expensive part,
-                // and concurrent probes of the same sequence agree anyway.
-                let s = self.probe(&sequence);
-                self.cache
-                    .lock()
-                    .unwrap()
-                    .entry(sequence.clone())
-                    .or_insert(s)
-                    .clone()
-            }
-        };
-        match step {
-            CachedStep::Returns(v) => StepResult::Returns(v, sequence),
-            CachedStep::Blocks => StepResult::Blocks,
-            CachedStep::Panics(m) => StepResult::Panics(m),
-        }
+        initial.sort_unstable();
+        initial.dedup();
+        ObservationOracle { nodes, initial }
     }
 }
 
-impl SeqOracle for ReplayOracle {
-    /// The `(thread, invocation)` trace performed so far.
-    type State = Vec<TracedOp>;
+impl SeqOracle for ObservationOracle {
+    /// The sorted node ids of the serial continuations.
+    type State = Vec<u32>;
 
-    fn initial(&self) -> Vec<TracedOp> {
-        Vec::new()
+    fn initial(&self) -> Vec<u32> {
+        self.initial.clone()
     }
 
-    /// Thread-agnostic stepping: performs the operation on thread 0. Use
-    /// [`step_on`](SeqOracle::step_on) (as [`Monitor`](crate::Monitor)
-    /// does) to preserve thread placement.
-    fn step(&self, state: &Vec<TracedOp>, invocation: &Invocation) -> StepResult<Vec<TracedOp>> {
-        self.step_traced(state, (0, invocation.clone()))
-    }
-
-    fn step_on(
+    fn step(
         &self,
-        state: &Vec<TracedOp>,
+        state: &Vec<u32>,
         thread: usize,
         invocation: &Invocation,
-    ) -> StepResult<Vec<TracedOp>> {
-        self.step_traced(state, (thread, invocation.clone()))
-    }
-
-    /// The *suffix signature* of the trace: the set of ways the universe's
-    /// serial executions continue below it. Two traces over the same
-    /// operation set with equal signatures step identically on every
-    /// remaining operation — the outcome of appending `op` is read off the
-    /// rows extending the trace (operations not yet invoked cannot affect
-    /// earlier outcomes, the same argument [`probe`](ReplayOracle) rests
-    /// on) — so collapsing them in the memo is sound, while traces whose
-    /// operation *order* matters (say, two enqueues observed by a later
-    /// dequeue) keep distinct signatures. Suffixes record `(thread,
-    /// outcome)` only: under a fixed linearized set, per-thread program
-    /// order pins which invocation each entry denotes.
-    fn canonical_key(&self, state: &Vec<TracedOp>, universe: &[TracedOp]) -> Option<Vec<u32>> {
-        let spec = self.universe_spec(universe)?;
-        let threads: Vec<usize> = state.iter().map(|(t, _)| *t).collect();
-        let mut ids: Vec<u32> = Vec::new();
-        for (row_threads, row_outcomes) in &spec.rows {
-            if row_threads.len() < threads.len() || row_threads[..threads.len()] != threads[..] {
-                continue;
+    ) -> StepResult<Vec<u32>> {
+        let mut heads = state
+            .iter()
+            .map(|&id| &self.nodes[id as usize])
+            .filter(|(op, _)| op.thread == thread && op.invocation == *invocation)
+            .peekable();
+        let Some(&(head, _)) = heads.peek() else {
+            return StepResult::Panics("operation outside the test matrix".into());
+        };
+        // Determinism: every matching head has this outcome.
+        match &head.outcome {
+            Outcome::Pending => StepResult::Blocks,
+            Outcome::Returned(v) => {
+                let mut tails: Vec<u32> = heads.filter_map(|(_, tail)| *tail).collect();
+                tails.sort_unstable();
+                tails.dedup();
+                StepResult::Returns(v.clone(), tails)
             }
-            let suffix: RowSuffix = row_threads[threads.len()..]
-                .iter()
-                .copied()
-                .zip(row_outcomes[threads.len()..].iter().cloned())
-                .collect();
-            let mut interner = spec.interner.lock().unwrap();
-            let next = interner.len() as u32;
-            ids.push(*interner.entry(suffix).or_insert(next));
         }
-        ids.sort_unstable();
-        ids.dedup();
-        Some(ids)
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use lineup::doc_support::CounterTarget;
+    use lineup::{synthesize_spec, TestMatrix, TestTarget};
 
-    fn counter_oracle() -> ReplayOracle {
-        ReplayOracle::new(Arc::new(CounterTarget), Vec::new())
+    /// The oracle over phase 1 of `matrix` on `target`.
+    pub(crate) fn observed<T: TestTarget>(target: &T, matrix: &TestMatrix) -> ObservationOracle {
+        let (set, _, panic) = synthesize_spec(target, matrix);
+        assert!(panic.is_none() && set.check_determinism().is_none());
+        ObservationOracle::new(&set)
+    }
+
+    fn inv(name: &str) -> Invocation {
+        Invocation::new(name)
+    }
+
+    /// Steps `o` along `trace`, expecting every step to return.
+    fn run(o: &ObservationOracle, trace: &[(usize, Invocation)]) -> (Vec<Value>, Vec<u32>) {
+        let mut state = o.initial();
+        let mut values = Vec::new();
+        for (t, i) in trace {
+            let StepResult::Returns(v, next) = o.step(&state, *t, i) else {
+                panic!("{i} on thread {t} returns");
+            };
+            values.push(v);
+            state = next;
+        }
+        (values, state)
     }
 
     #[test]
     fn replay_oracle_steps_the_counter() {
-        let o = counter_oracle();
-        let s0 = o.initial();
-        let StepResult::Returns(v, s1) = o.step(&s0, &Invocation::new("inc")) else {
-            panic!("inc returns");
-        };
-        assert_eq!(v, Value::Unit);
-        let StepResult::Returns(v, _) = o.step(&s1, &Invocation::new("get")) else {
-            panic!("get returns");
-        };
-        assert_eq!(v, Value::Int(1));
+        let o = observed(
+            &CounterTarget,
+            &TestMatrix::from_columns(vec![vec![inv("inc"), inv("get")], vec![inv("get")]]),
+        );
+        let (values, _) = run(&o, &[(0, inv("inc")), (0, inv("get"))]);
+        assert_eq!(values, [Value::Unit, Value::Int(1)]);
         // From the initial state, get sees 0.
-        let StepResult::Returns(v, _) = o.step(&s0, &Invocation::new("get")) else {
-            panic!("get returns");
-        };
-        assert_eq!(v, Value::Int(0));
+        let (values, _) = run(&o, &[(1, inv("get"))]);
+        assert_eq!(values, [Value::Int(0)]);
     }
 
     #[test]
     fn replay_preserves_thread_placement() {
-        // For a thread-agnostic counter the placement does not change the
-        // outcome, but it is part of the oracle state (distinct traces).
-        let o = counter_oracle();
-        let s0 = o.initial();
-        let StepResult::Returns(_, s1) = o.step_on(&s0, 3, &Invocation::new("inc")) else {
-            panic!("inc returns");
-        };
-        assert_eq!(s1, vec![(3, Invocation::new("inc"))]);
-        let StepResult::Returns(v, _) = o.step_on(&s1, 1, &Invocation::new("get")) else {
-            panic!("get returns");
-        };
-        assert_eq!(v, Value::Int(1));
-    }
-
-    #[test]
-    fn replay_oracle_memoizes() {
-        let o = counter_oracle();
-        let s0 = o.initial();
-        let _ = o.step(&s0, &Invocation::new("inc"));
-        let before = o.cached_sequences();
-        let _ = o.step(&s0, &Invocation::new("inc"));
-        assert_eq!(o.cached_sequences(), before, "second step hits the cache");
+        // Thread 1 never performs inc: the same invocation there is
+        // outside the test matrix.
+        let o = observed(
+            &CounterTarget,
+            &TestMatrix::from_columns(vec![vec![inv("inc")], vec![inv("get")]]),
+        );
+        assert!(matches!(
+            o.step(&o.initial(), 1, &inv("inc")),
+            StepResult::Panics(_)
+        ));
+        let (values, _) = run(&o, &[(0, inv("inc")), (1, inv("get"))]);
+        assert_eq!(values, [Value::Unit, Value::Int(1)]);
     }
 
     #[test]
     fn replay_oracle_respects_init() {
-        let o = ReplayOracle::new(
-            Arc::new(CounterTarget),
-            vec![Invocation::new("inc"), Invocation::new("inc")],
+        let o = observed(
+            &CounterTarget,
+            &TestMatrix::from_columns(vec![vec![inv("get")]])
+                .with_init(vec![inv("inc"), inv("inc")]),
         );
-        let StepResult::Returns(v, _) = o.step(&o.initial(), &Invocation::new("get")) else {
-            panic!("get returns");
-        };
-        assert_eq!(v, Value::Int(2), "init sequence ran before the trace");
+        let (values, _) = run(&o, &[(0, inv("get"))]);
+        assert_eq!(
+            values,
+            [Value::Int(2)],
+            "init sequence ran before the trace"
+        );
     }
 
     #[test]
     fn canonical_key_collapses_commuting_orders() {
-        // Two incs on different threads: either order leaves the counter
-        // in the same abstract state, so the suffix signatures (and hence
-        // the memo keys) must coincide.
-        let o = counter_oracle();
-        let universe: Vec<TracedOp> = vec![
-            (0, Invocation::new("inc")),
-            (0, Invocation::new("get")),
-            (1, Invocation::new("inc")),
-        ];
-        let t1 = vec![(0, Invocation::new("inc")), (1, Invocation::new("inc"))];
-        let t2 = vec![(1, Invocation::new("inc")), (0, Invocation::new("inc"))];
-        let k1 = o.canonical_key(&t1, &universe).expect("spec synthesized");
-        let k2 = o.canonical_key(&t2, &universe).expect("spec synthesized");
-        assert_eq!(k1, k2, "inc orders are behaviorally equivalent");
+        // Two incs on different threads: either order leaves the same
+        // serial continuations, so the states coincide.
+        let o = observed(
+            &CounterTarget,
+            &TestMatrix::from_columns(vec![vec![inv("inc"), inv("get")], vec![inv("inc")]]),
+        );
+        let (_, s1) = run(&o, &[(0, inv("inc")), (1, inv("inc"))]);
+        let (_, s2) = run(&o, &[(1, inv("inc")), (0, inv("inc"))]);
+        assert_eq!(s1, s2, "inc orders are behaviorally equivalent");
     }
 
     #[test]
     fn canonical_key_distinguishes_order_sensitive_states() {
         use lineup_collections::concurrent_queue::ConcurrentQueueTarget;
         use lineup_collections::registry::Variant;
-        let o = ReplayOracle::new(
-            Arc::new(ConcurrentQueueTarget {
-                variant: Variant::Fixed,
-            }),
-            Vec::new(),
-        );
+        let target = ConcurrentQueueTarget {
+            variant: Variant::Fixed,
+        };
         let enq = |v| Invocation::with_int("Enqueue", v);
-        let universe: Vec<TracedOp> = vec![
-            (0, enq(10)),
-            (0, Invocation::new("TryDequeue")),
-            (1, enq(20)),
-        ];
-        let t1 = vec![(0, enq(10)), (1, enq(20))];
-        let t2 = vec![(1, enq(20)), (0, enq(10))];
-        let k1 = o.canonical_key(&t1, &universe).expect("spec synthesized");
-        let k2 = o.canonical_key(&t2, &universe).expect("spec synthesized");
-        assert_ne!(k1, k2, "the later dequeue observes the enqueue order");
+        let o = observed(
+            &target,
+            &TestMatrix::from_columns(vec![vec![enq(10), inv("TryDequeue")], vec![enq(20)]]),
+        );
+        let (_, s1) = run(&o, &[(0, enq(10)), (1, enq(20))]);
+        let (_, s2) = run(&o, &[(1, enq(20)), (0, enq(10))]);
+        assert_ne!(s1, s2, "the later dequeue observes the enqueue order");
     }
 
     #[test]
@@ -525,18 +294,9 @@ mod tests {
             other => StepResult::Panics(format!("unknown {other}")),
         });
         let s = o.initial();
-        assert!(matches!(
-            o.step(&s, &Invocation::new("block")),
-            StepResult::Blocks
-        ));
-        assert!(matches!(
-            o.step(&s, &Invocation::new("nope")),
-            StepResult::Panics(_)
-        ));
-        // step_on defaults to the thread-agnostic step.
-        assert!(matches!(
-            o.step_on(&s, 7, &Invocation::new("block")),
-            StepResult::Blocks
-        ));
+        assert!(matches!(o.step(&s, 0, &inv("block")), StepResult::Blocks));
+        assert!(matches!(o.step(&s, 0, &inv("nope")), StepResult::Panics(_)));
+        // The closure is thread-agnostic.
+        assert_eq!(o.step(&s, 7, &inv("inc")), o.step(&s, 0, &inv("inc")));
     }
 }

@@ -26,8 +26,8 @@ use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use lineup::{
-    AdtKind, History, HistoryCache, Invocation, ObservationSet, OpIndex, SymmetryGroups,
-    TestInstance, TestMatrix, TestTarget, Value,
+    AdtKind, History, HistoryCache, Invocation, OpIndex, TestInstance, TestMatrix, TestTarget,
+    Value,
 };
 use lineup_sched::{register_native_thread, NativeOptions};
 use lineup_wire::StreamRecorder;
@@ -51,20 +51,8 @@ pub struct StressOptions {
     /// Watchdog: a run not finishing within this bound is recorded as
     /// stuck and its threads are leaked.
     pub run_timeout: Duration,
-    /// Methods checked under the asynchronous relaxation (paper §2.4).
-    pub async_methods: Vec<String>,
     /// Stop the campaign at the first monitor rejection.
     pub stop_at_first_violation: bool,
-    /// Key the per-history verdict cache on the *canonical* form of each
-    /// history (default `true`): runs that differ only by renaming
-    /// symmetric threads (per the target's
-    /// [`lineup::SymmetryPolicy`]) share one monitor verdict, so OS
-    /// schedules that merely permute interchangeable threads cost no
-    /// monitor work. `false` falls back to literal history keys.
-    pub symmetry: bool,
-    /// Collect the serial witnesses of accepted complete histories into
-    /// [`StressReport::witnesses`] (an extra search per distinct history).
-    pub collect_witnesses: bool,
     /// Stream every run as wire-format events (one object per run) —
     /// e.g. into a capture file replayable by `lineup-server --replay`,
     /// or a live socket. Events are recorded inside the same critical
@@ -81,10 +69,7 @@ impl Default for StressOptions {
             seed: NativeOptions::default().seed,
             yield_chance: 2,
             run_timeout: Duration::from_secs(2),
-            async_methods: Vec::new(),
             stop_at_first_violation: true,
-            symmetry: true,
-            collect_witnesses: false,
             recorder: None,
         }
     }
@@ -207,9 +192,6 @@ pub struct StressReport {
     pub monitor_stats: crate::linearize::MonitorStats,
     /// The rejections, in order of first occurrence.
     pub violations: Vec<StressViolation>,
-    /// Serial witnesses of accepted complete histories (empty unless
-    /// [`StressOptions::collect_witnesses`]).
-    pub witnesses: ObservationSet,
 }
 
 impl StressReport {
@@ -240,8 +222,9 @@ fn lock_history(h: &Mutex<History>) -> MutexGuard<'_, History> {
 /// indexes `0..columns`, the final sequence (if any) on thread index
 /// `columns`, init operations are unrecorded. Verdicts are memoized in a
 /// [`HistoryCache`] keyed on each history's canonical form, so the
-/// monitor runs once per *distinct* history — up to renaming symmetric
-/// threads — no matter how often the OS scheduler reproduces one.
+/// monitor runs once per *distinct* history — up to renaming the threads
+/// the target's [`lineup::SymmetryPolicy`] declares symmetric — no matter
+/// how often the OS scheduler reproduces one.
 pub fn run_stress<T, O>(
     target: &T,
     matrix: &TestMatrix,
@@ -256,11 +239,7 @@ where
     let ncols = matrix.columns.len();
     let thread_count = ncols + usize::from(!matrix.finally.is_empty());
     let stats_before = monitor.stats();
-    let groups = if options.symmetry {
-        matrix.symmetry_groups(target.symmetry_policy())
-    } else {
-        SymmetryGroups::default()
-    };
+    let groups = matrix.symmetry_groups(target.symmetry_policy());
     let verdicts: HistoryCache<bool> = HistoryCache::new(1);
     let mut keys = verdicts.writer();
     let mut report = StressReport {
@@ -272,7 +251,6 @@ where
         history_cache_hits: 0,
         monitor_stats: Default::default(),
         violations: Vec::new(),
-        witnesses: ObservationSet::new(),
     };
 
     let adt_kind = monitor.adt_kind();
@@ -294,12 +272,7 @@ where
             report.distinct_histories += 1;
             let ok = if history.is_complete() {
                 report.monitor_checks += 1;
-                let ok = monitor.check_full(&history, &options.async_methods);
-                if ok && options.collect_witnesses {
-                    if let Some(s) = monitor.find_linearization(&history, &options.async_methods) {
-                        report.witnesses.insert(s);
-                    }
-                }
+                let ok = monitor.check_full(&history, &[]);
                 if !ok {
                     report.violations.push(StressViolation {
                         run,
@@ -312,7 +285,7 @@ where
                 let mut ok = true;
                 for e in history.pending_ops() {
                     report.monitor_checks += 1;
-                    if !monitor.check_stuck(&history, e, &options.async_methods) {
+                    if !monitor.check_stuck(&history, e, &[]) {
                         report.violations.push(StressViolation {
                             run,
                             history: history.clone(),
@@ -483,13 +456,10 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::{FnOracle, ReplayOracle, StepResult};
+    use crate::oracle::tests::observed;
+    use crate::oracle::{FnOracle, StepResult};
     use lineup::doc_support::{BuggyCounterTarget, CounterTarget};
     use lineup::{Invocation, Value};
-
-    fn counter_monitor() -> Monitor<ReplayOracle> {
-        Monitor::new(ReplayOracle::new(Arc::new(CounterTarget), Vec::new()))
-    }
 
     fn counter_matrix() -> TestMatrix {
         TestMatrix::from_columns(vec![
@@ -502,7 +472,7 @@ mod tests {
     #[test]
     fn correct_counter_stress_is_green() {
         let m = counter_matrix();
-        let monitor = counter_monitor();
+        let monitor = Monitor::new(observed(&CounterTarget, &m));
         let report = run_stress(
             &CounterTarget,
             &m,
@@ -541,7 +511,7 @@ mod tests {
             vec![Invocation::new("inc")],
         ])
         .with_finally(vec![Invocation::new("get")]);
-        let monitor = Monitor::new(ReplayOracle::new(Arc::new(BuggyCounterTarget), Vec::new()));
+        let monitor = Monitor::new(observed(&BuggyCounterTarget, &m));
         let report = run_stress(
             &BuggyCounterTarget,
             &m,
@@ -561,28 +531,6 @@ mod tests {
         let v = &report.violations[0];
         assert!(v.pending.is_none(), "complete-history violation");
         assert!(v.history.is_complete());
-    }
-
-    #[test]
-    fn witnesses_are_collected() {
-        let m = counter_matrix();
-        let monitor = counter_monitor();
-        let report = run_stress(
-            &CounterTarget,
-            &m,
-            &monitor,
-            &StressOptions {
-                runs: 20,
-                collect_witnesses: true,
-                ..StressOptions::default()
-            },
-        );
-        assert!(report.passed());
-        assert!(!report.witnesses.is_empty());
-        for s in report.witnesses.iter() {
-            assert!(!s.is_stuck());
-            assert_eq!(s.ops.len(), 4);
-        }
     }
 
     /// A target whose `wait` blocks forever: every run trips the watchdog
@@ -643,7 +591,7 @@ mod tests {
         let buf = Arc::new(Mutex::new(Vec::new()));
         let rec = Arc::new(StreamRecorder::to_writer(Box::new(Shared(Arc::clone(&buf)))).unwrap());
         let m = counter_matrix();
-        let monitor = counter_monitor();
+        let monitor = Monitor::new(observed(&CounterTarget, &m));
         let report = run_stress(
             &CounterTarget,
             &m,

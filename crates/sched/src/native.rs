@@ -16,8 +16,8 @@
 //!   lock-ownership keys work under real contention;
 //! * a real parker, so [`block_current`](crate::block_current) parks the
 //!   OS thread and [`unblock`](crate::unblock) wakes it —
-//!   [`BlockKind::Timed`] waits become real timed waits (see
-//!   [`set_timed_wait`]);
+//!   [`BlockKind::Timed`] waits become real timed waits of
+//!   [`TIMED_WAIT`];
 //! * optional *yield injection*: a seeded per-thread RNG yields the OS
 //!   thread at a fraction of schedule points, forcing interleavings that a
 //!   single-core scheduler would otherwise never produce (the classic
@@ -33,15 +33,14 @@
 //! # Fidelity caveats
 //!
 //! Native mode approximates the model semantics at the margins: a timed
-//! wait races against its wakeup in real time (the timeout duration is a
-//! knob, not a scheduler choice), and a wakeup permit granted concurrently
+//! wait races against its wakeup in real time (the timeout is a fixed
+//! duration, not a scheduler choice), and a wakeup permit granted concurrently
 //! with a timeout may survive as a stale permit that resumes the next wait
 //! of that thread spuriously. The `lineup-sync` primitives re-check their
 //! wait conditions in loops, so stale permits cost a retry, not
 //! correctness of the primitives themselves.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -54,25 +53,11 @@ use crate::state::BlockKind;
 /// outside pseudo ids (`usize::MAX`, `usize::MAX - 1`).
 pub const NATIVE_TID_BASE: usize = usize::MAX / 2;
 
-/// Default real duration of a [`BlockKind::Timed`] wait in native mode.
-pub const DEFAULT_TIMED_WAIT: Duration = Duration::from_micros(50);
-
-/// Nanoseconds a native [`BlockKind::Timed`] wait blocks before timing
-/// out. Stored globally: the timeout models ".NET code passed some finite
-/// timeout", and stress runs want it short so contended timed operations
-/// actually exercise their timeout paths.
-static TIMED_WAIT_NANOS: AtomicU64 = AtomicU64::new(DEFAULT_TIMED_WAIT.as_nanos() as u64);
-
-/// Sets the real duration of native [`BlockKind::Timed`] waits.
-pub fn set_timed_wait(duration: Duration) {
-    let nanos = u64::try_from(duration.as_nanos()).unwrap_or(u64::MAX);
-    TIMED_WAIT_NANOS.store(nanos, Ordering::Relaxed);
-}
-
-/// The real duration native [`BlockKind::Timed`] waits currently use.
-pub fn timed_wait() -> Duration {
-    Duration::from_nanos(TIMED_WAIT_NANOS.load(Ordering::Relaxed))
-}
+/// Real duration a native [`BlockKind::Timed`] wait blocks before timing
+/// out. The timeout models ".NET code passed some finite timeout", and
+/// stress runs want it short so contended timed operations actually
+/// exercise their timeout paths.
+pub const TIMED_WAIT: Duration = Duration::from_micros(50);
 
 /// A permit-semantics parker (like `std::thread::park`, but with an
 /// explicit token): an unpark before the park is not lost, it makes the
@@ -264,7 +249,7 @@ pub(crate) fn block_native(kind: BlockKind) -> Option<BlockResult> {
     let parker = NATIVE.with(|n| n.borrow().as_ref().map(|ctx| Arc::clone(&ctx.parker)))?;
     let timeout = match kind {
         BlockKind::Untimed => None,
-        BlockKind::Timed => Some(timed_wait()),
+        BlockKind::Timed => Some(TIMED_WAIT),
     };
     Some(parker.park(timeout))
 }
@@ -402,13 +387,5 @@ mod tests {
                 .join()
                 .unwrap();
         assert_eq!(first, second, "freed slot is handed out again");
-    }
-
-    #[test]
-    fn timed_wait_is_configurable() {
-        let original = timed_wait();
-        set_timed_wait(Duration::from_millis(3));
-        assert_eq!(timed_wait(), Duration::from_millis(3));
-        set_timed_wait(original);
     }
 }

@@ -578,8 +578,8 @@ pub enum BlockResult {
 /// re-checking the wait condition afterwards.
 ///
 /// On an OS thread registered for [native mode](crate::native) this parks
-/// the real thread instead (timed waits become real timed waits, see
-/// [`native::set_timed_wait`](crate::native::set_timed_wait)).
+/// the real thread instead (timed waits become real timed waits of
+/// [`native::TIMED_WAIT`](crate::native::TIMED_WAIT)).
 ///
 /// # Panics
 ///

@@ -9,6 +9,8 @@
 //! With `--replay`, the listed capture files (e.g. from
 //! `stress --emit`) are ingested offline, the final snapshot is
 //! printed, and the exit code reflects the verdict (1 on violations).
+//! A file that cannot be opened or does not decode as a wire stream
+//! exits 2, as a usage error does, so it never reads as a verdict.
 //! Otherwise the service listens until a client sends `Shutdown`,
 //! logging a stats line every `--stats-secs` (0 disables). `--json`
 //! switches the final snapshot to JSON.
@@ -124,12 +126,12 @@ fn replay_files(config: EngineConfig, files: &[String], json: bool) -> ExitCode 
             Ok(f) => f,
             Err(e) => {
                 eprintln!("lineup-server: cannot open {file}: {e}");
-                return ExitCode::FAILURE;
+                return ExitCode::from(2);
             }
         };
         if let Err(e) = lineup_server::ingest_stream(&engine, f) {
             eprintln!("lineup-server: {file}: {e}");
-            return ExitCode::FAILURE;
+            return ExitCode::from(2);
         }
     }
     report(&engine, json)

@@ -139,22 +139,7 @@ impl ShardCounters {
         self.violations = self.violations.saturating_add(other.violations);
         self.incomplete = self.incomplete.saturating_add(other.incomplete);
         self.peak_window_ops = self.peak_window_ops.max(other.peak_window_ops);
-        self.paths.specialized_checks = self
-            .paths
-            .specialized_checks
-            .saturating_add(other.paths.specialized_checks);
-        self.paths.fallback_checks = self
-            .paths
-            .fallback_checks
-            .saturating_add(other.paths.fallback_checks);
-        for (slot, add) in self
-            .paths
-            .fallback_reasons
-            .iter_mut()
-            .zip(other.paths.fallback_reasons.iter())
-        {
-            *slot = slot.saturating_add(*add);
-        }
+        self.paths.merge(&other.paths);
         self.oracle_steps = self.oracle_steps.saturating_add(other.oracle_steps);
         self.memo_hits = self.memo_hits.saturating_add(other.memo_hits);
         self.verdict_cache_hits = self
@@ -439,22 +424,7 @@ impl Shard {
     ) {
         let stats = monitor.stats();
         let c = &mut self.counters;
-        c.paths.specialized_checks = c
-            .paths
-            .specialized_checks
-            .saturating_add(stats.paths.specialized_checks);
-        c.paths.fallback_checks = c
-            .paths
-            .fallback_checks
-            .saturating_add(stats.paths.fallback_checks);
-        for (slot, add) in c
-            .paths
-            .fallback_reasons
-            .iter_mut()
-            .zip(stats.paths.fallback_reasons.iter())
-        {
-            *slot = slot.saturating_add(*add);
-        }
+        c.paths.merge(&stats.paths);
         c.oracle_steps = c.oracle_steps.saturating_add(stats.oracle_steps);
         c.memo_hits = c.memo_hits.saturating_add(stats.memo_hits);
     }

@@ -5,11 +5,13 @@
 //! every pending operation of every distinct stuck history, must get the
 //! same accept/reject answer from `Monitor::check_full` /
 //! `Monitor::check_stuck` as from `find_witness` against the phase-1
-//! observation set.
+//! observation set. The serial histories of phase 1 join the comparison
+//! as recorded histories: these matrices deadlock only on bugs, so the
+//! stuck serial ones are where a pending call blocks justifiably.
 //!
-//! Matrices whose phase 1 panics or is nondeterministic are skipped: the
-//! check rejects them before phase 2, and a replay oracle stands for a
-//! deterministic specification only.
+//! The monitor steps the same observation set through an
+//! `ObservationOracle`. Matrices whose phase 1 panics or is
+//! nondeterministic are skipped: the check rejects them before phase 2.
 
 mod support;
 
@@ -17,13 +19,16 @@ use std::collections::HashSet;
 use std::ops::ControlFlow;
 
 use lineup::{
-    explore_matrix, find_witness, synthesize_spec, MonitorPathStats, TestMatrix, TestTarget,
-    WitnessQuery,
+    explore_matrix, find_witness, synthesize_spec, History, MonitorPathStats, Outcome,
+    SerialHistory, TestMatrix, TestTarget, WitnessQuery,
 };
 use lineup_collections::registry::{all_classes, ClassEntry};
-use lineup_monitor::{Monitor, ReplayOracle, SeqOracle};
+use lineup_monitor::{Monitor, ObservationOracle};
 use lineup_sched::{Config, RunOutcome};
 use support::with_concrete_target;
+
+/// A monitor over a test's observation set, as the caller configures it.
+type Observed = Monitor<ObservationOracle>;
 
 /// The matrices to compare a class on: its own regression matrices, or —
 /// for fixed variants, which have no expected root causes — the matrices
@@ -40,21 +45,40 @@ fn matrices_for(entry: &ClassEntry) -> Vec<TestMatrix> {
         .unwrap_or_default()
 }
 
-/// Asserts that `monitor` and `find_witness` agree on every distinct
-/// history of `matrix`. Returns `false`, comparing nothing, when phase 1
-/// panics or is nondeterministic.
-fn assert_agreement<T: TestTarget, O: SeqOracle>(
+/// `s` as a recorded history; a stuck one ends with its call pending.
+fn recorded(s: &SerialHistory) -> History {
+    let mut h = History::new(s.thread_count);
+    for op in &s.ops {
+        let call = h.push_call(op.thread, op.invocation.clone());
+        match &op.outcome {
+            Outcome::Returned(v) => h.push_return(call, v.clone()),
+            Outcome::Pending => h.stuck = true,
+        }
+    }
+    h
+}
+
+/// Asserts that the monitor `annotate` makes over the observation set of
+/// `matrix` and `find_witness` against that set agree on every distinct
+/// history of `matrix`, serial ones included. Returns the monitor's path counters, or `None`,
+/// comparing nothing, when phase 1 panics or is nondeterministic.
+fn assert_agreement<T: TestTarget>(
     target: &T,
     matrix: &TestMatrix,
-    monitor: &Monitor<O>,
+    annotate: impl Fn(Observed) -> Observed,
     name: &str,
-) -> bool {
+) -> Option<MonitorPathStats> {
     let (spec, _, panic) = synthesize_spec(target, matrix);
     if panic.is_some() || spec.check_determinism().is_some() {
-        return false;
+        return None;
     }
+    let monitor = annotate(Monitor::new(ObservationOracle::new(&spec)));
     let index = spec.index();
     let (mut full, mut stuck) = (HashSet::new(), HashSet::new());
+    for s in spec.iter() {
+        let set = if s.is_stuck() { &mut stuck } else { &mut full };
+        set.insert(recorded(s));
+    }
     explore_matrix(target, matrix, &Config::preemption_bounded(2), |run| {
         match run.outcome {
             RunOutcome::Complete => {
@@ -83,28 +107,26 @@ fn assert_agreement<T: TestTarget, O: SeqOracle>(
             );
         }
     }
-    true
+    Some(monitor.stats().paths)
 }
 
-/// Runs [`assert_agreement`] on every matrix of `entry`, with the monitor
-/// `make` builds per matrix. Returns the monitors' path counters summed
-/// over the compared matrices, or `None` when no matrix was compared.
-fn agrees_on<O: SeqOracle>(
+/// Runs [`assert_agreement`] on every matrix of `entry`. Returns the
+/// monitors' path counters summed over the compared matrices, or `None`
+/// when no matrix was compared.
+fn agrees_on(
     entry: &ClassEntry,
-    make: impl Fn(&TestMatrix) -> Monitor<O>,
+    annotate: impl Fn(Observed, &TestMatrix) -> Observed,
 ) -> Option<MonitorPathStats> {
-    let mut paths = None;
+    let mut paths: Option<MonitorPathStats> = None;
     for matrix in matrices_for(entry) {
-        let monitor = make(&matrix);
+        let for_matrix = |monitor| annotate(monitor, &matrix);
         macro_rules! agree {
             ($target:expr) => {
-                assert_agreement(&$target, &matrix, &monitor, entry.name)
+                assert_agreement(&$target, &matrix, &for_matrix, entry.name)
             };
         }
-        if with_concrete_target!(entry, agree) {
-            paths
-                .get_or_insert_with(MonitorPathStats::default)
-                .merge(&monitor.stats().paths);
+        if let Some(compared) = with_concrete_target!(entry, agree) {
+            paths.get_or_insert_with(Default::default).merge(&compared);
         }
     }
     paths
@@ -115,9 +137,7 @@ fn monitor_backend_matches_find_witness_on_all_classes() {
     let mut fixed_checked = 0;
     let mut pre_checked = 0;
     for entry in all_classes() {
-        let compared = agrees_on(&entry, |m| {
-            Monitor::new(ReplayOracle::new(entry.target_arc(), m.init.clone()))
-        });
+        let compared = agrees_on(&entry, |monitor, _| monitor);
         if compared.is_none() {
             continue;
         }
@@ -142,9 +162,8 @@ fn kind_annotated_backend_matches_find_witness_on_all_classes() {
     let mut annotated = 0;
     let mut specialized = 0;
     for entry in all_classes() {
-        let Some(paths) = agrees_on(&entry, |m| {
-            let monitor = Monitor::new(ReplayOracle::new(entry.target_arc(), m.init.clone()))
-                .with_adt_init(m.init.clone());
+        let Some(paths) = agrees_on(&entry, |monitor, m| {
+            let monitor = monitor.with_adt_init(m.init.clone());
             match entry.adt_kind {
                 Some(kind) => monitor.with_adt_kind(kind),
                 None => monitor,

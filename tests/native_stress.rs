@@ -9,13 +9,16 @@
 //! be a real bug (the monitor has no false alarms on deterministic
 //! targets).
 
-use std::sync::Arc;
-
-use lineup::{Invocation, TestMatrix};
+use lineup::{synthesize_spec, Invocation, TestMatrix, TestTarget};
 use lineup_collections::concurrent_dictionary::ConcurrentDictionaryTarget;
 use lineup_collections::concurrent_queue::ConcurrentQueueTarget;
 use lineup_collections::support::Variant;
-use lineup_monitor::{run_stress, Monitor, ReplayOracle, StressOptions};
+use lineup_monitor::{run_stress, Monitor, ObservationOracle, StressOptions};
+
+/// A monitor over phase 1 of `matrix` on `target`.
+fn observed<T: TestTarget>(target: &T, matrix: &TestMatrix) -> Monitor<ObservationOracle> {
+    Monitor::new(ObservationOracle::new(&synthesize_spec(target, matrix).0))
+}
 
 fn dictionary_matrix() -> TestMatrix {
     TestMatrix::from_columns(vec![
@@ -31,7 +34,7 @@ fn fixed_dictionary_stress_is_green() {
         variant: Variant::Fixed,
     };
     let m = dictionary_matrix();
-    let monitor = Monitor::new(ReplayOracle::new(Arc::new(target), m.init.clone()));
+    let monitor = observed(&target, &m);
     let report = run_stress(
         &target,
         &m,
@@ -59,7 +62,7 @@ fn fixed_queue_stress_is_green() {
         ],
         vec![Invocation::new("TryDequeue"), Invocation::new("TryDequeue")],
     ]);
-    let monitor = Monitor::new(ReplayOracle::new(Arc::new(target), m.init.clone()));
+    let monitor = observed(&target, &m);
     let report = run_stress(
         &target,
         &m,
@@ -84,7 +87,7 @@ fn seeded_dictionary_violation_is_detected() {
         variant: Variant::Pre,
     };
     let m = dictionary_matrix();
-    let monitor = Monitor::new(ReplayOracle::new(Arc::new(target), m.init.clone()));
+    let monitor = observed(&target, &m);
     let report = run_stress(
         &target,
         &m,

@@ -12,13 +12,12 @@
 //! threads and the cross-backend comparisons hold trivially.
 
 use std::ops::ControlFlow;
-use std::sync::Arc;
 
 use lineup::{check, explore_matrix, AdtKind, CheckOptions, History, TestMatrix, Violation};
 use lineup_collections::concurrent_queue::{fig1_matrix, ConcurrentQueueTarget};
 use lineup_collections::hinted_queue::{fuzz4x4_matrix, HintedQueueTarget};
 use lineup_collections::registry::Variant;
-use lineup_monitor::{Monitor, ReplayOracle};
+use lineup_monitor::{ideal_oracle, Monitor};
 use lineup_sched::{Backend, Config, RunOutcome, StrategyKind};
 
 /// Budget small enough for a debug-build test, large enough that the
@@ -159,14 +158,12 @@ fn sampled_check_convicts_fig1_and_is_deterministic() {
 
 /// Runs executed until the monitor rejects a recorded history of the 4×4
 /// hinted queue, or `None` when `config`'s run budget ends first. The
-/// verdict comes from the monitor, not a synthesized specification: phase 1
-/// is infeasible at 4×4.
+/// verdict comes from the monitor over the ideal queue specification, not
+/// a synthesized one: phase 1 is infeasible at 4×4.
 fn runs_to_violation(variant: Variant, config: &Config) -> Option<u64> {
     let target = HintedQueueTarget { variant };
     let matrix = fuzz4x4_matrix();
-    let monitor = Monitor::new(ReplayOracle::new(Arc::new(target), matrix.init.clone()))
-        .with_adt_init(matrix.init.clone())
-        .with_adt_kind(AdtKind::Queue);
+    let monitor = Monitor::new(ideal_oracle(AdtKind::Queue)).with_adt_kind(AdtKind::Queue);
     // Tracked here, not through `stats.stopped_early`, which an exhausted
     // run budget sets too.
     let mut found = false;
