@@ -3,6 +3,7 @@
 
 #![warn(missing_docs)]
 
+pub mod capture;
 pub mod histories;
 
 use std::time::Duration;

@@ -603,15 +603,15 @@ impl KeyWriter {
 }
 
 /// A sharded verdict cache keyed by [`HistoryKey`]: the one
-/// duplicate-history cache shared by phase-2 checking (`check`), the
-/// stress runner, and the monitoring server's shards.
+/// duplicate-history cache shared by phase-2 checking (`check`) and the
+/// monitoring server's shards.
 ///
 /// Checker-side callers key it on the *canonical* form of each history
 /// ([`SymmetryGroups::key`](crate::SymmetryGroups::key)), so a cached
 /// verdict covers the history's whole symmetry class: phase 2 computes one
 /// monitor verdict per class instead of one per renaming. With empty
 /// symmetry groups the renaming is the identity and the cache degenerates
-/// to the raw duplicate-history cache the stress bin originally grew.
+/// to a raw duplicate-history cache.
 ///
 /// A key's bytes are hashed once, when the cache's
 /// [`writer`](HistoryCache::writer) seals it, under this cache's own

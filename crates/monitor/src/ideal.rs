@@ -102,6 +102,17 @@ fn stack_step(s: &Vec<i64>, inv: &Invocation) -> StepResult<Vec<i64>> {
             Some(&v) => StepResult::Returns(Value::some(Value::int(v)), s[..s.len() - 1].to_vec()),
             None => StepResult::Returns(Value::Fail, s.clone()),
         },
+        // Up to n elements off the top, returned top-first.
+        "TryPopRangeOne" | "TryPopRangeTwo" | "TryPopRangeFour" => {
+            let n = match inv.name.as_str() {
+                "TryPopRangeOne" => 1,
+                "TryPopRangeTwo" => 2,
+                _ => 4,
+            };
+            let rest = s.len().saturating_sub(n);
+            let popped = s[rest..].iter().rev().copied();
+            StepResult::Returns(Value::int_seq(popped), s[..rest].to_vec())
+        }
         other => StepResult::Panics(format!("stack oracle: unknown op {other}")),
     }
 }
@@ -183,6 +194,20 @@ mod tests {
         let (v, s) = run(AdtKind::Stack, vec![1, 2], Invocation::new("TryPop"));
         assert_eq!(v, Value::some(Value::int(2)));
         assert_eq!(s, vec![1]);
+    }
+
+    #[test]
+    fn stack_pops_a_range_top_first() {
+        let (v, s) = run(
+            AdtKind::Stack,
+            vec![1, 2, 3],
+            Invocation::new("TryPopRangeTwo"),
+        );
+        assert_eq!(v, Value::int_seq(vec![3, 2]));
+        assert_eq!(s, vec![1]);
+        let (v, s) = run(AdtKind::Stack, vec![1], Invocation::new("TryPopRangeFour"));
+        assert_eq!(v, Value::int_seq(vec![1]));
+        assert!(s.is_empty());
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! **lineup-monitor**: a standalone linearizability monitor and a native
-//! stress-test runner for the Line-Up reproduction.
+//! **lineup-monitor**: a standalone linearizability monitor for the
+//! Line-Up reproduction.
 //!
 //! The core `lineup` crate checks histories by *looking up* serial
 //! witnesses in the phase-1 observation set. This crate *decides* the same
@@ -14,8 +14,6 @@
 //!   blocking operations. Annotated with an [`AdtKind`](lineup::AdtKind),
 //!   it decides unambiguous histories with a specialized log-linear
 //!   checker first.
-//! * [`run_stress`] — executes a test matrix on real OS threads and
-//!   monitors the recorded histories online.
 //!
 //! # Example: checking one history
 //!
@@ -42,26 +40,6 @@
 //! h.push_return(get, Value::Int(1));
 //! assert!(!monitor.check_full(&h, &[]));
 //! ```
-//!
-//! # Example: native stress testing
-//!
-//! ```
-//! use lineup::{synthesize_spec, Invocation, TestMatrix};
-//! use lineup::doc_support::CounterTarget;
-//! use lineup_monitor::{run_stress, Monitor, ObservationOracle, StressOptions};
-//!
-//! let m = TestMatrix::from_columns(vec![
-//!     vec![Invocation::new("inc")],
-//!     vec![Invocation::new("get")],
-//! ]);
-//! let (spec, _, _) = synthesize_spec(&CounterTarget, &m);
-//! let monitor = Monitor::new(ObservationOracle::new(&spec));
-//! let report = run_stress(&CounterTarget, &m, &monitor, &StressOptions {
-//!     runs: 10,
-//!     ..StressOptions::default()
-//! });
-//! assert!(report.passed());
-//! ```
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -70,9 +48,7 @@ pub mod ideal;
 pub mod linearize;
 pub mod oracle;
 pub(crate) mod specialized;
-pub mod stress;
 
 pub use ideal::{ideal_oracle, ideal_oracle_from, ideal_step, state_invocations, IdealStep};
 pub use linearize::{Monitor, MonitorStats};
 pub use oracle::{FnOracle, ObservationOracle, SeqOracle, StepResult};
-pub use stress::{run_stress, StressOptions, StressReport, StressViolation};

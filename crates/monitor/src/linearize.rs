@@ -9,7 +9,7 @@
 //! `<H` (relaxed for asynchronous methods) — replay against the sequential
 //! oracle with exactly the recorded responses? This works for arbitrary
 //! recorded histories, not only those of a pre-enumerated test, which is
-//! what the native stress runner (see [`crate::stress`]) needs.
+//! what the online monitoring service (`lineup-server`) needs.
 //!
 //! **Memoized configurations** (Lowe's extension of Wing–Gong) keep the
 //! search tractable: a search configuration is the set of linearized
@@ -41,22 +41,10 @@ pub struct MonitorStats {
     pub paths: MonitorPathStats,
 }
 
-impl MonitorStats {
-    /// Counters accumulated since an earlier snapshot (saturating).
-    pub fn diff_since(&self, earlier: &MonitorStats) -> MonitorStats {
-        MonitorStats {
-            checks: self.checks.saturating_sub(earlier.checks),
-            oracle_steps: self.oracle_steps.saturating_sub(earlier.oracle_steps),
-            memo_hits: self.memo_hits.saturating_sub(earlier.memo_hits),
-            paths: self.paths.diff_since(&earlier.paths),
-        }
-    }
-}
-
 /// A linearizability monitor over an executable sequential oracle.
 ///
 /// The monitor is [`Send`]`+`[`Sync`] and keeps no per-check state besides
-/// its statistics, so one instance can serve a whole stress campaign.
+/// its statistics, so one instance can serve a whole stream of checks.
 pub struct Monitor<O: SeqOracle> {
     oracle: O,
     adt: Option<AdtKind>,

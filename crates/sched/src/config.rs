@@ -12,8 +12,7 @@
 pub enum Backend {
     /// One pooled OS thread per virtual thread; handoffs park/unpark
     /// through a [`WakeSlot`](crate::runtime) one-token parker. Works on
-    /// every platform and is mandatory for [native](crate::native)
-    /// passthrough mode, where blocking must block a real thread.
+    /// every platform.
     OsThreads,
     /// Stackful coroutines on the exploring OS thread (see the
     /// [`fiber`](crate::fiber) module): a handoff is a direct userspace

@@ -39,9 +39,7 @@
 //!
 //! The switch is implemented for x86_64 Linux. Everywhere else (and with
 //! the `fibers` cargo feature disabled) [`supported`] is `false` and
-//! [`Backend::Fibers`](crate::Backend) degrades to OS threads. Native
-//! passthrough mode ([`crate::native`]) always uses real OS threads:
-//! its blocking operations must block a real thread.
+//! [`Backend::Fibers`](crate::Backend) degrades to OS threads.
 
 /// Whether the fiber backend is implemented for this build (x86_64 Linux
 /// with the `fibers` cargo feature enabled).

@@ -64,7 +64,6 @@ pub mod events;
 pub mod explorer;
 pub mod fiber;
 pub mod ids;
-pub mod native;
 pub mod por;
 pub mod probe;
 pub mod runtime;
@@ -79,7 +78,6 @@ pub use explorer::{
     StealPool, StealSkip, StealTask, StealingStrategy,
 };
 pub use ids::{ObjId, ThreadId};
-pub use native::{register_native_thread, NativeGuard, NativeOptions};
 pub use por::{AccessIntent, VectorClock, MAX_POR_THREADS};
 pub use probe::Probe;
 pub use runtime::{

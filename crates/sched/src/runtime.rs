@@ -263,13 +263,6 @@ fn with_any_ctx<R>(f: impl FnOnce(&Arc<Shared>, usize) -> R) -> Option<R> {
     })
 }
 
-/// Whether the calling OS thread carries *any* model context (virtual
-/// thread or setup closure). Used to reject native-mode registration from
-/// inside a model execution.
-pub(crate) fn has_model_ctx() -> bool {
-    CURRENT.with(|c| c.borrow().is_some())
-}
-
 /// Returns `true` when the calling OS thread is a virtual thread of an
 /// active model execution (schedule points are live). The setup closure
 /// and plain unmodelled code return `false`.
@@ -277,19 +270,12 @@ pub fn is_model_active() -> bool {
     CURRENT.with(|c| matches!(c.borrow().as_ref(), Some(ctx) if ctx.tid != SETUP_TID))
 }
 
-/// Returns the id of the calling virtual thread. On an OS thread
-/// registered for [native mode](crate::native) this returns the thread's
-/// unique native id. Otherwise, outside a virtual thread, it returns a
-/// reserved pseudo id (stable within the setup closure and within
-/// unmodelled code), so primitives can use it as an ownership key
-/// everywhere.
+/// Returns the id of the calling virtual thread. Outside a virtual
+/// thread it returns a reserved pseudo id (stable within the setup
+/// closure and within unmodelled code), so primitives can use it as an
+/// ownership key everywhere.
 pub fn current_thread() -> ThreadId {
-    CURRENT
-        .with(|c| match c.borrow().as_ref() {
-            Some(ctx) => Some(ThreadId(ctx.tid)),
-            None => crate::native::current_native_tid(),
-        })
-        .unwrap_or(ThreadId(OUTSIDE_TID))
+    CURRENT.with(|c| ThreadId(c.borrow().as_ref().map_or(OUTSIDE_TID, |ctx| ctx.tid)))
 }
 
 /// Registers a new model object (called by primitive constructors) and
@@ -447,7 +433,7 @@ fn schedule_point(kind: Option<AccessKind>, pending: Pending) {
     if let Some((rt, tid)) = crate::fiber::fiber_ctx() {
         return fiber_schedule_point(rt, tid, kind, pending);
     }
-    let modelled = with_parking_ctx(|shared, tid, slot| {
+    with_parking_ctx(|shared, tid, slot| {
         let mut st = shared.state.lock().unwrap();
         st.set_pending(tid, pending);
         st.note_point(tid, kind);
@@ -476,12 +462,6 @@ fn schedule_point(kind: Option<AccessKind>, pending: Pending) {
             Wake::Abort => std::panic::panic_any(Abort),
         }
     });
-    if modelled.is_none() {
-        // Outside the model the same points feed native-mode yield
-        // injection (a no-op for unregistered threads, except that an
-        // explicit yield still yields the OS thread).
-        crate::native::on_schedule_point(kind == Some(AccessKind::Yield));
-    }
 }
 
 /// A schedule point: lets the scheduler pick the next thread, and parks
@@ -577,17 +557,12 @@ pub enum BlockResult {
 /// of whatever primitive it blocks on *before* calling this, and for
 /// re-checking the wait condition afterwards.
 ///
-/// On an OS thread registered for [native mode](crate::native) this parks
-/// the real thread instead (timed waits become real timed waits of
-/// [`native::TIMED_WAIT`](crate::native::TIMED_WAIT)).
-///
 /// # Panics
 ///
-/// Panics when called outside a virtual thread and outside native mode:
-/// blocking needs a scheduler (virtual or the OS one). (Unmodelled use of
-/// blocking operations — e.g. `Take` on an empty collection on a plain
-/// thread — is not supported; use the model checker or a native-mode
-/// stress run to explore blocking behavior.)
+/// Panics when called outside a virtual thread: blocking needs the
+/// scheduler. (Unmodelled use of blocking operations — e.g. `Take` on an
+/// empty collection on a plain thread — is not supported; use the model
+/// checker to explore blocking behavior.)
 pub fn block_current(kind: BlockKind) -> BlockResult {
     if let Some((rt, tid)) = crate::fiber::fiber_ctx() {
         return fiber_block_current(rt, tid, kind);
@@ -642,21 +617,14 @@ pub fn block_current(kind: BlockKind) -> BlockResult {
             BlockResult::Resumed
         }
     })
-    .or_else(|| crate::native::block_native(kind))
-    .expect("lineup-sched: cannot block outside a model execution or native mode")
+    .expect("lineup-sched: cannot block outside a model execution")
 }
 
 /// Makes the given thread runnable again. Called by primitives when a lock
 /// is released or a monitor is pulsed. Does not switch threads; the woken
-/// thread re-competes at the caller's next schedule point. Dispatches on
-/// the *target* id: a thread parked in [native mode](crate::native) is
-/// unparked regardless of who calls. Otherwise a no-op outside a virtual
-/// thread (nothing can be blocked then).
+/// thread re-competes at the caller's next schedule point. A no-op
+/// outside a virtual thread (nothing can be blocked then).
 pub fn unblock(thread: ThreadId) {
-    if crate::native::is_native_tid(thread) {
-        crate::native::unblock_native(thread);
-        return;
-    }
     with_virtual_ctx(|shared, _| {
         let mut st = shared.state.lock().unwrap();
         if matches!(st.status(thread.0), Status::Blocked(_)) {
@@ -678,16 +646,13 @@ pub fn unblock(thread: ThreadId) {
 /// Makes a nondeterministic boolean choice, enumerated by the explorer
 /// like a scheduling choice. Useful for modelling environment
 /// nondeterminism beyond scheduling (the timed-lock timeouts use the
-/// dedicated [`BlockKind::Timed`] mechanism instead). In [native
-/// mode](crate::native) the choice is a seeded coin flip (environment
-/// nondeterminism is real in a stress run); otherwise, outside a virtual
-/// thread, it is deterministically `false`.
+/// dedicated [`BlockKind::Timed`] mechanism instead). Outside a virtual
+/// thread it is deterministically `false`.
 pub fn choose_bool() -> bool {
     with_virtual_ctx(|shared, tid| {
         let mut st = shared.state.lock().unwrap();
         st.pick_bool(tid)
     })
-    .or_else(crate::native::choose_bool_native)
     .unwrap_or(false)
 }
 

@@ -6,8 +6,8 @@
 //!               [--stats-secs N] [--json] [--replay FILE ...]
 //! ```
 //!
-//! With `--replay`, the listed capture files (e.g. from
-//! `stress --emit`) are ingested offline, the final snapshot is
+//! With `--replay`, the listed capture files (e.g. from the `capture`
+//! bin of `lineup-bench`) are ingested offline, the final snapshot is
 //! printed, and the exit code reflects the verdict (1 on violations).
 //! A file that cannot be opened or does not decode as a wire stream
 //! exits 2, as a usage error does, so it never reads as a verdict.

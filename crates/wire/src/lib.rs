@@ -60,5 +60,5 @@ pub mod record;
 pub mod recorder;
 
 pub use frame::{FrameReader, FrameWriter, WireError, MAX_FRAME_LEN};
-pub use record::{decode_payload, encode_record, Record, MAGIC, VERSION};
+pub use record::{decode_payload, encode_history, encode_record, Record, MAGIC, VERSION};
 pub use recorder::StreamRecorder;

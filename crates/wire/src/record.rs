@@ -20,7 +20,7 @@
 //!                 | 0x07 value                opt some
 //! ```
 
-use lineup::{AdtKind, Value};
+use lineup::{AdtKind, Event, History, Value};
 
 use crate::frame::{put_varint, unzigzag, zigzag, Cursor, WireError};
 
@@ -238,6 +238,42 @@ pub fn encode_record(record: &Record<'_>, out: &mut Vec<u8>) {
     encode_payload(record, &mut payload);
     put_varint(payload.len() as u64, out);
     out.extend_from_slice(&payload);
+}
+
+/// Encodes a whole recorded history as frames appended to `out`: the
+/// `ObjectRegister` of `object`, one `Call`/`Return` per event in the
+/// history's exact order (every timestamp 0), and an `ObjectEnd` whose
+/// `stuck` flag is the history's.
+pub fn encode_history(object: u64, kind: Option<AdtKind>, h: &History, out: &mut Vec<u8>) {
+    let register = Record::ObjectRegister {
+        object,
+        kind,
+        threads: h.thread_count as u32,
+    };
+    encode_record(&register, out);
+    for ev in &h.events {
+        let record = match *ev {
+            Event::Call(i) => Record::Call {
+                object,
+                thread: h.ops[i].thread as u32,
+                ts: 0,
+                name: &h.ops[i].invocation.name,
+                args: h.ops[i].invocation.args.clone(),
+            },
+            Event::Return(i) => Record::Return {
+                object,
+                thread: h.ops[i].thread as u32,
+                ts: 0,
+                value: h.ops[i].response.clone().expect("a returned op"),
+            },
+        };
+        encode_record(&record, out);
+    }
+    let end = Record::ObjectEnd {
+        object,
+        stuck: h.stuck,
+    };
+    encode_record(&end, out);
 }
 
 /// Decodes one frame payload. The returned record borrows `buf`.

@@ -2,9 +2,9 @@
 //!
 //! [`StreamRecorder`] wraps a [`FrameWriter`] in a mutex and stamps every
 //! event with a monotonic timestamp relative to stream start. Producers
-//! that already serialize history updates (the stress runner records
-//! under its history lock) pay one uncontended mutex acquisition per
-//! event; everything else is an append to a buffered writer.
+//! that already serialize history updates pay one uncontended mutex
+//! acquisition per event; everything else is an append to a buffered
+//! writer.
 
 use std::fmt;
 use std::fs::File;

@@ -12,6 +12,10 @@
 //! The monitor steps the same observation set through an
 //! `ObservationOracle`. Matrices whose phase 1 panics or is
 //! nondeterministic are skipped: the check rejects them before phase 2.
+//!
+//! A registry class's ADT-kind annotation claims ideal-ADT behavior
+//! serially, so the ideal oracle of that kind must also accept every
+//! phase-1 history of the fixed classes.
 
 mod support;
 
@@ -23,7 +27,7 @@ use lineup::{
     SerialHistory, TestMatrix, TestTarget, WitnessQuery,
 };
 use lineup_collections::registry::{all_classes, ClassEntry};
-use lineup_monitor::{Monitor, ObservationOracle};
+use lineup_monitor::{ideal_oracle_from, ideal_step, Monitor, ObservationOracle, StepResult};
 use lineup_sched::{Config, RunOutcome};
 use support::with_concrete_target;
 
@@ -187,4 +191,55 @@ fn kind_annotated_backend_matches_find_witness_on_all_classes() {
         "expected annotated coverage, got {annotated}"
     );
     assert!(specialized > 0, "no history took a specialized path");
+}
+
+#[test]
+fn ideal_oracles_accept_the_serial_histories_of_kinded_fixed_classes() {
+    let mut classes = HashSet::new();
+    for entry in all_classes() {
+        let Some(kind) = entry.adt_kind else {
+            continue;
+        };
+        if entry.name.ends_with("(Pre)") {
+            continue;
+        }
+        for matrix in matrices_for(&entry) {
+            macro_rules! phase1 {
+                ($target:expr) => {
+                    synthesize_spec(&$target, &matrix).0
+                };
+            }
+            let spec = with_concrete_target!(&entry, phase1);
+            let init = matrix.init.clone();
+            let state = init
+                .iter()
+                .fold(Vec::new(), |s, inv| match ideal_step(kind)(&s, inv) {
+                    StepResult::Returns(_, next) => next,
+                    other => panic!("{}: init {inv:?} steps to {other:?}", entry.name),
+                });
+            let monitor = Monitor::new(ideal_oracle_from(kind, state))
+                .with_adt_kind(kind)
+                .with_adt_init(init);
+            for s in spec.iter() {
+                let h = recorded(s);
+                let accepted = if s.is_stuck() {
+                    h.pending_ops()
+                        .into_iter()
+                        .all(|e| monitor.check_stuck(&h, e, &[]))
+                } else {
+                    monitor.check_full(&h, &[])
+                };
+                assert!(
+                    accepted,
+                    "{}: the ideal {kind} oracle rejects serial history {h:?} of\n{matrix}",
+                    entry.name
+                );
+                classes.insert(entry.name);
+            }
+        }
+    }
+    assert!(
+        classes.len() >= 3,
+        "expected the queue, stack and dictionary, checked {classes:?}"
+    );
 }

@@ -3,7 +3,8 @@
 //! deliver exactly the verdict one offline monitor reaches on the whole
 //! stream, for every ADT kind and every history shape (unambiguous,
 //! ambiguous, violating, and pending). Plus a multi-client TCP smoke
-//! test exercising the socket front end and the wire `Shutdown` record.
+//! test exercising the socket front end and the wire `Shutdown` record,
+//! and the replay of the explorer-built capture.
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -11,12 +12,15 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use lineup::{AdtKind, Event, History};
+use lineup_bench::capture::capture;
 use lineup_bench::histories::{
     ambiguous_history, pending_history, unambiguous_history, violating_history,
 };
 use lineup_monitor::{ideal_oracle, Monitor};
-use lineup_server::{Server, ServerConfig, Shard, ShardConfig};
-use lineup_wire::{encode_record, Record, VERSION};
+use lineup_server::{
+    ingest_stream, Engine, EngineConfig, Server, ServerConfig, Shard, ShardConfig,
+};
+use lineup_wire::{encode_history, encode_record, Record, VERSION};
 
 /// Replays `h`'s exact event interleaving into a fresh shard and ends
 /// the object, returning the shard for verdict and counter inspection.
@@ -158,43 +162,6 @@ fn pending_windows_are_held_open_and_match_offline() {
     }
 }
 
-/// Serializes one history as wire records onto `out` (register, the
-/// exact event interleaving, object end).
-fn append_history(out: &mut Vec<u8>, object: u64, kind: AdtKind, h: &History, stuck: bool) {
-    encode_record(
-        &Record::ObjectRegister {
-            object,
-            kind: Some(kind),
-            threads: h.thread_count as u32,
-        },
-        out,
-    );
-    for ev in &h.events {
-        match *ev {
-            Event::Call(i) => encode_record(
-                &Record::Call {
-                    object,
-                    thread: h.ops[i].thread as u32,
-                    ts: 0,
-                    name: &h.ops[i].invocation.name,
-                    args: h.ops[i].invocation.args.clone(),
-                },
-                out,
-            ),
-            Event::Return(i) => encode_record(
-                &Record::Return {
-                    object,
-                    thread: h.ops[i].thread as u32,
-                    ts: 0,
-                    value: h.ops[i].response.clone().expect("complete op"),
-                },
-                out,
-            ),
-        }
-    }
-    encode_record(&Record::ObjectEnd { object, stuck }, out);
-}
-
 #[test]
 fn multi_client_tcp_smoke_with_shutdown() {
     let server = Server::spawn(ServerConfig {
@@ -215,21 +182,19 @@ fn multi_client_tcp_smoke_with_shutdown() {
             // client streams under ids of its own, or one client's
             // `ObjectEnd` could retire another's live object.
             let object = 10 * (i as u64 + 1);
-            append_history(
-                &mut out,
+            encode_history(
                 object,
-                kind,
+                Some(kind),
                 &unambiguous_history(kind, 60, i as u64 + 1),
-                false,
+                &mut out,
             );
             if i == 0 {
                 // One client also streams a known-violating object.
-                append_history(
-                    &mut out,
+                encode_history(
                     object + 1,
-                    kind,
+                    Some(kind),
                     &violating_history(kind, 60, 99),
-                    false,
+                    &mut out,
                 );
             }
             let mut stream = TcpStream::connect(addr).expect("connect");
@@ -261,4 +226,22 @@ fn multi_client_tcp_smoke_with_shutdown() {
     assert_eq!(snap.connections, 4);
     assert_eq!(snap.protocol_errors, 0);
     assert_eq!(snap.buffered_ops, 0, "everything GC'd after drain");
+}
+
+/// The `capture` bin's stream is a pure function of the explorer, and
+/// replaying it through the engine `lineup-server --replay` builds by
+/// default convicts exactly the seeded lost update (root cause F) and
+/// nothing on the fixed classes.
+#[test]
+fn explorer_capture_is_deterministic_and_replays_to_one_violation() {
+    let first = capture();
+    assert!(first.passed(), "{:?}", first.workloads);
+    assert_eq!(first.bytes, capture().bytes, "capture is not deterministic");
+
+    let engine = Engine::new(EngineConfig::default());
+    ingest_stream(&engine, &first.bytes[..]).expect("capture decodes");
+    let snap = engine.snapshot();
+    assert_eq!(snap.counters.violations, 1, "exactly the seeded violation");
+    assert_eq!(snap.objects_finished, 673);
+    assert_eq!(snap.protocol_errors, 0);
 }
