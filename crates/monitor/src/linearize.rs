@@ -17,6 +17,18 @@
 //! never re-explored. The oracle state is part of the key because the
 //! oracle is a black box — two linearizations of the same set may reach
 //! different states — so the memo is exactly as coarse as state equality.
+//!
+//! **Cursors and floors.** Program order makes each thread's linearized
+//! operations a prefix of its call-ordered list, so a per-thread cursor
+//! vector names the linearized set and the memo key is `(cursors, oracle
+//! state)`. Thread `t`'s next operation `o` may linearize iff no other
+//! thread `u` still has a non-async operation that returned before `o`'s
+//! call: with `floor[u][k]` the earliest return among `u`'s non-async
+//! operations from position `k` on, iff `floor[u][cursor[u]] > call(o)`
+//! for every `u ≠ t` — O(threads) per candidate after an O(n) set-up. The
+//! depth-first search keeps an explicit stack of (oracle state, next
+//! thread to try) frames, so a long history cannot overflow the thread's
+//! stack.
 
 use std::collections::HashSet;
 use std::sync::Mutex;
@@ -180,143 +192,108 @@ impl<O: SeqOracle> Monitor<O> {
     /// complete operations (in its relaxed precedence order) replays
     /// against the oracle, which then blocks on `pending` (if given).
     fn search(&self, h: &History, pending: Option<OpIndex>, async_methods: &[String]) -> bool {
-        // Target ops in call order; per-thread subsequences give program
-        // order, which a witness must preserve unconditionally (H|t = S|t)
-        // — the async relaxation only drops *cross-thread* constraints.
-        let mut ops: Vec<OpIndex> = h.complete_ops();
-        ops.sort_by_key(|&i| h.ops[i].call_pos);
-        let n = ops.len();
-        let mut thread_seq: Vec<Vec<usize>> = vec![Vec::new(); h.thread_count];
-        for (pos, &i) in ops.iter().enumerate() {
-            thread_seq[h.ops[i].thread].push(pos);
+        // Per-thread complete ops in call order: a witness preserves
+        // program order unconditionally (H|t = S|t) — the async
+        // relaxation only drops *cross-thread* constraints.
+        let mut threads: Vec<Vec<OpIndex>> = vec![Vec::new(); h.thread_count];
+        for op in h.complete_ops() {
+            threads[h.ops[op].thread].push(op);
         }
-        // Cross-thread precedence blockers, relaxed for async methods.
-        let blockers: Vec<Vec<usize>> = ops
+        // floor[u][k]: the earliest return among thread u's non-async ops
+        // at program position >= k (usize::MAX past the last one).
+        let floor: Vec<Vec<usize>> = threads
             .iter()
-            .map(|&o| {
-                ops.iter()
-                    .enumerate()
-                    .filter(|&(_, &p)| {
-                        p != o
-                            && h.precedes(p, o)
-                            && h.ops[p].thread != h.ops[o].thread
-                            && !async_methods.contains(&h.ops[p].invocation.name)
-                    })
-                    .map(|(q, _)| q)
-                    .collect()
+            .map(|seq| {
+                let mut f = vec![usize::MAX; seq.len() + 1];
+                for (k, &op) in seq.iter().enumerate().rev() {
+                    let ret = if async_methods.contains(&h.ops[op].invocation.name) {
+                        usize::MAX
+                    } else {
+                        h.ops[op].return_pos.expect("complete op")
+                    };
+                    f[k] = f[k + 1].min(ret);
+                }
+                f
             })
             .collect();
-
-        let mut search = Search {
-            h,
-            oracle: &self.oracle,
-            ops: &ops,
-            pending,
-            thread_seq: &thread_seq,
-            blockers: &blockers,
-            memo: HashSet::new(),
-            oracle_steps: 0,
-            memo_hits: 0,
+        // The stuck serial witness ends at the blocked call: the oracle
+        // must block on `pending` after everything else.
+        let ends_witness = |state: &O::State| match pending {
+            None => true,
+            Some(e) => matches!(
+                self.oracle
+                    .step(state, h.ops[e].thread, &h.ops[e].invocation),
+                StepResult::Blocks
+            ),
         };
-        let mut mask = Bits::new(n);
-        let state = self.oracle.initial();
-        let found = search.dfs(&mut mask, &state, 0);
-        {
-            let mut stats = self.stats.lock().unwrap();
-            stats.oracle_steps = stats.oracle_steps.saturating_add(search.oracle_steps);
-            stats.memo_hits = stats.memo_hits.saturating_add(search.memo_hits);
-        }
-        found
-    }
-}
-
-/// One in-flight search (borrowed context plus the memo table).
-struct Search<'a, O: SeqOracle> {
-    h: &'a History,
-    oracle: &'a O,
-    ops: &'a [OpIndex],
-    pending: Option<OpIndex>,
-    thread_seq: &'a [Vec<usize>],
-    blockers: &'a [Vec<usize>],
-    /// Failed configurations: (linearized set, oracle state).
-    memo: HashSet<(Bits, O::State)>,
-    oracle_steps: u64,
-    memo_hits: u64,
-}
-
-impl<O: SeqOracle> Search<'_, O> {
-    /// Extends a configuration of `depth` linearized operations.
-    fn dfs(&mut self, mask: &mut Bits, state: &O::State, depth: usize) -> bool {
-        if depth == self.ops.len() {
-            return match self.pending {
-                None => true,
-                Some(e) => {
-                    // The stuck serial witness ends at the blocked call:
-                    // the oracle must block on e after everything else.
-                    self.oracle_steps += 1;
-                    matches!(
-                        self.oracle
-                            .step(state, self.h.ops[e].thread, &self.h.ops[e].invocation),
-                        StepResult::Blocks
-                    )
-                }
-            };
-        }
-        if !self.memo.insert((mask.clone(), state.clone())) {
-            self.memo_hits += 1;
-            return false;
-        }
-        // Candidates: the next-in-program-order op of each thread whose
-        // cross-thread blockers have all linearized.
-        for seq in self.thread_seq {
-            let Some(&pos) = seq.iter().find(|&&p| !mask.get(p)) else {
-                continue;
-            };
-            if self.blockers[pos].iter().any(|&q| !mask.get(q)) {
-                continue;
+        let n: usize = threads.iter().map(Vec::len).sum();
+        let (mut oracle_steps, mut memo_hits) = (0u64, 0u64);
+        // Failed configurations: (per-thread cursors, oracle state).
+        let mut memo: HashSet<(Vec<u32>, O::State)> = HashSet::new();
+        let mut cursor = vec![0u32; threads.len()];
+        // Frames: a configuration's state and the next thread to try.
+        let mut stack = vec![(self.oracle.initial(), 0usize)];
+        let found = 'search: {
+            if n == 0 {
+                oracle_steps += u64::from(pending.is_some());
+                break 'search ends_witness(&stack[0].0);
             }
-            let op = self.ops[pos];
-            self.oracle_steps += 1;
-            match self
-                .oracle
-                .step(state, self.h.ops[op].thread, &self.h.ops[op].invocation)
-            {
-                StepResult::Returns(v, next) if Some(&v) == self.h.ops[op].response.as_ref() => {
-                    mask.set(pos);
-                    if self.dfs(mask, &next, depth + 1) {
-                        return true;
+            while let Some((state, next)) = stack.last_mut() {
+                let mut child = None;
+                while child.is_none() && *next < threads.len() {
+                    let t = *next;
+                    *next += 1;
+                    let Some(&op) = threads[t].get(cursor[t] as usize) else {
+                        continue;
+                    };
+                    let o = &h.ops[op];
+                    // The floor rule: no other thread has an unlinearized
+                    // non-async op that returned before o's call.
+                    if (0..threads.len())
+                        .any(|u| u != t && floor[u][cursor[u] as usize] < o.call_pos)
+                    {
+                        continue;
                     }
-                    mask.clear(pos);
+                    oracle_steps += 1;
+                    match self.oracle.step(state, t, &o.invocation) {
+                        StepResult::Returns(v, s) if Some(&v) == o.response.as_ref() => {
+                            child = Some((t, s));
+                        }
+                        // Mismatched response, blocking, or a panic: o
+                        // cannot linearize here.
+                        _ => {}
+                    }
                 }
-                // Mismatched response, blocking, or a panic: this op
-                // cannot linearize here.
-                _ => {}
+                let Some((t, state)) = child else {
+                    // Every candidate failed: backtrack into the parent.
+                    stack.pop();
+                    if let Some(&(_, parent_next)) = stack.last() {
+                        cursor[parent_next - 1] -= 1;
+                    }
+                    continue;
+                };
+                // The child has one op more than the top frame's
+                // `stack.len() - 1`.
+                cursor[t] += 1;
+                if stack.len() == n {
+                    oracle_steps += u64::from(pending.is_some());
+                    if ends_witness(&state) {
+                        break 'search true;
+                    }
+                } else if memo.insert((cursor.clone(), state.clone())) {
+                    stack.push((state, 0));
+                    continue;
+                } else {
+                    memo_hits += 1;
+                }
+                cursor[t] -= 1;
             }
-        }
-        false
-    }
-}
-
-/// A fixed-size bit set (the linearized-operations component of a memo
-/// key).
-#[derive(Clone, PartialEq, Eq, Hash)]
-struct Bits(Vec<u64>);
-
-impl Bits {
-    fn new(n: usize) -> Self {
-        Bits(vec![0; n.div_ceil(64)])
-    }
-
-    fn get(&self, i: usize) -> bool {
-        self.0[i / 64] & (1 << (i % 64)) != 0
-    }
-
-    fn set(&mut self, i: usize) {
-        self.0[i / 64] |= 1 << (i % 64);
-    }
-
-    fn clear(&mut self, i: usize) {
-        self.0[i / 64] &= !(1 << (i % 64));
+            false
+        };
+        let mut stats = self.stats.lock().unwrap();
+        stats.oracle_steps = stats.oracle_steps.saturating_add(oracle_steps);
+        stats.memo_hits = stats.memo_hits.saturating_add(memo_hits);
+        found
     }
 }
 

@@ -27,11 +27,11 @@ pub enum StepResult<S> {
 /// An executable deterministic sequential specification.
 ///
 /// States are compared and hashed for memoization: the monitor's search
-/// keys failed configurations on `(linearized set, state)`, so two branches
-/// reaching equal states share their continuations. Determinism is a
-/// *precondition*: for a given state, thread and invocation, `step` must
-/// always produce the same result (Line-Up's phase-1 determinism check
-/// establishes exactly this before any monitor runs).
+/// keys failed configurations on `(per-thread cursors, state)`, so two
+/// branches reaching equal states share their continuations. Determinism
+/// is a *precondition*: for a given state, thread and invocation, `step`
+/// must always produce the same result (Line-Up's phase-1 determinism
+/// check establishes exactly this before any monitor runs).
 pub trait SeqOracle: Send + Sync {
     /// The abstract state type.
     type State: Clone + Eq + Hash;

@@ -16,19 +16,30 @@
 //! A registry class's ADT-kind annotation claims ideal-ADT behavior
 //! serially, so the ideal oracle of that kind must also accept every
 //! phase-1 history of the fixed classes.
+//!
+//! The search itself is held to a brute-force enumerator of linearizations
+//! on random histories of at most eight operations, and its search tree
+//! (oracle steps, memo hits) is pinned on one ambiguous history per kind.
 
 mod support;
 
-use std::collections::HashSet;
+use std::collections::{HashSet, VecDeque};
 use std::ops::ControlFlow;
 
 use lineup::{
-    explore_matrix, find_witness, synthesize_spec, History, MonitorPathStats, Outcome,
-    SerialHistory, TestMatrix, TestTarget, WitnessQuery,
+    explore_matrix, find_witness, synthesize_spec, AdtKind, History, Invocation, MonitorPathStats,
+    OpIndex, Outcome, SerialHistory, TestMatrix, TestTarget, Value, WitnessQuery,
 };
+use lineup_bench::histories::ambiguous_history;
 use lineup_collections::registry::{all_classes, ClassEntry};
-use lineup_monitor::{ideal_oracle_from, ideal_step, Monitor, ObservationOracle, StepResult};
+use lineup_monitor::{
+    ideal_oracle, ideal_oracle_from, ideal_step, FnOracle, Monitor, ObservationOracle, SeqOracle,
+    StepResult,
+};
 use lineup_sched::{Config, RunOutcome};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+use support::brute_force::brute_force;
 use support::with_concrete_target;
 
 /// A monitor over a test's observation set, as the caller configures it.
@@ -242,4 +253,254 @@ fn ideal_oracles_accept_the_serial_histories_of_kinded_fixed_classes() {
         classes.len() >= 3,
         "expected the queue, stack and dictionary, checked {classes:?}"
     );
+}
+
+#[test]
+fn wing_gong_search_tree_is_pinned() {
+    // One 400-op duplicate-value history per kind falls back to the
+    // Wing–Gong search; its oracle steps and memo hits count the nodes
+    // visited and pruned, so a change to the candidate rule, the memo
+    // key or the visiting order moves these numbers.
+    let pinned = [
+        (AdtKind::Queue, 16_862, 3_653),
+        (AdtKind::Stack, 9_051, 1_666),
+        (AdtKind::Set, 580, 25),
+        (AdtKind::PriorityQueue, 740, 35),
+    ];
+    for (kind, oracle_steps, memo_hits) in pinned {
+        let h = ambiguous_history(kind, 400, 1);
+        let monitor = Monitor::new(ideal_oracle(kind)).with_adt_kind(kind);
+        assert!(monitor.check_full(&h, &[]), "{kind}: rejected");
+        let stats = monitor.stats();
+        assert_eq!(stats.paths.fallback_checks, 1, "{kind}: no fallback");
+        assert_eq!(
+            (stats.oracle_steps, stats.memo_hits),
+            (oracle_steps, memo_hits),
+            "{kind}: search tree moved"
+        );
+    }
+}
+
+/// One oracle of the brute-force differential: a fresh instance (the
+/// monitor owns its oracle), its alphabet, the responses a corrupted
+/// return may carry, and the methods its async runs declare.
+struct Differential<O> {
+    make: fn() -> O,
+    alphabet: Vec<Invocation>,
+    responses: Vec<Value>,
+    async_methods: Vec<String>,
+}
+
+/// The responses of `invs` replayed serially from the initial state;
+/// `None` from the first call that does not return on.
+fn serial_responses<O: SeqOracle>(oracle: &O, invs: &[Invocation]) -> Vec<Option<Value>> {
+    let mut state = Some(oracle.initial());
+    invs.iter()
+        .map(|inv| match oracle.step(state.as_ref()?, 0, inv) {
+            StepResult::Returns(v, next) => {
+                state = Some(next);
+                Some(v)
+            }
+            _ => state.take().and(None),
+        })
+        .collect()
+}
+
+impl<O: SeqOracle> Differential<O> {
+    /// `v`, or with probability 1/10 a random response.
+    fn maybe_corrupt(&self, v: Value, rng: &mut SmallRng) -> Value {
+        if rng.gen_bool(0.1) {
+            self.responses[rng.gen_range(0..self.responses.len())].clone()
+        } else {
+            v
+        }
+    }
+
+    /// A random history of up to eight ops on one to three threads: they
+    /// replay serially in a random order, then the threads' calls and
+    /// returns interleave at random. Uncorrupted, it is sequentially
+    /// consistent, so the precedence order (relaxed for async methods)
+    /// alone decides whether it linearizes. An op that blocks in the
+    /// replay stays pending, and the replay ends there.
+    fn random(&self, oracle: &O, rng: &mut SmallRng) -> History {
+        let mut h = History::new(rng.gen_range(1..4));
+        let mut program: Vec<VecDeque<(Invocation, Option<Value>)>> =
+            vec![VecDeque::new(); h.thread_count];
+        let mut state = oracle.initial();
+        for _ in 0..rng.gen_range(0..9) {
+            let t = rng.gen_range(0..h.thread_count);
+            let inv = self.alphabet[rng.gen_range(0..self.alphabet.len())].clone();
+            let StepResult::Returns(v, next) = oracle.step(&state, t, &inv) else {
+                program[t].push_back((inv, None));
+                break;
+            };
+            state = next;
+            program[t].push_back((inv, Some(v)));
+        }
+        // Per thread: the open call and its response (`None`: blocked).
+        let mut open: Vec<Option<(OpIndex, Option<Value>)>> = vec![None; h.thread_count];
+        loop {
+            let live: Vec<usize> = (0..h.thread_count)
+                .filter(|&t| match &open[t] {
+                    Some((_, v)) => v.is_some(),
+                    None => !program[t].is_empty(),
+                })
+                .collect();
+            if live.is_empty() {
+                break;
+            }
+            let t = live[rng.gen_range(0..live.len())];
+            match open[t].take() {
+                Some((op, v)) => h.push_return(op, self.maybe_corrupt(v.unwrap(), rng)),
+                None => {
+                    let (inv, v) = program[t].pop_front().unwrap();
+                    open[t] = Some((h.push_call(t, inv), v));
+                }
+            }
+        }
+        h.stuck = !h.is_complete();
+        h
+    }
+
+    /// The degenerate shapes: no ops, a lone pending call of each method,
+    /// one thread running up to eight ops serially, and up to eight ops
+    /// on as many threads all overlapping (every call before any return).
+    fn degenerate(&self, oracle: &O, rng: &mut SmallRng) -> Vec<History> {
+        let mut out = vec![History::new(2)];
+        for inv in &self.alphabet {
+            let mut h = History::new(1);
+            h.push_call(0, inv.clone());
+            h.stuck = true;
+            out.push(h);
+        }
+        for _ in 0..8 {
+            let invs: Vec<Invocation> = (0..rng.gen_range(1..9))
+                .map(|_| self.alphabet[rng.gen_range(0..self.alphabet.len())].clone())
+                .collect();
+            let responses = serial_responses(oracle, &invs);
+            let mut serial = History::new(1);
+            let mut overlapping = History::new(invs.len());
+            for (t, (inv, v)) in invs.iter().zip(&responses).enumerate() {
+                let op = serial.push_call(0, inv.clone());
+                if let Some(v) = v {
+                    serial.push_return(op, self.maybe_corrupt(v.clone(), rng));
+                } else {
+                    serial.stuck = true;
+                    break;
+                }
+                overlapping.push_call(t, inv.clone());
+            }
+            for (op, v) in responses.iter().enumerate() {
+                if let Some(v) = v {
+                    overlapping.push_return(op, self.maybe_corrupt(v.clone(), rng));
+                }
+            }
+            out.push(serial);
+            out.push(overlapping);
+        }
+        out
+    }
+
+    /// Checks `count` random histories and the degenerate ones through a
+    /// kind-less monitor against the brute force, each once without and
+    /// once with the async methods. Returns how many checks accepted, how
+    /// many rejected, and how many only the async relaxation accepted.
+    fn run(&self, seed: u64, count: usize) -> [usize; 3] {
+        let oracle = (self.make)();
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut histories = self.degenerate(&oracle, &mut rng);
+        histories.extend((0..count).map(|_| self.random(&oracle, &mut rng)));
+        let modes = [&[][..], &self.async_methods[..]];
+        let monitors = modes.map(|_| Monitor::new((self.make)()));
+        let mut tally = [0; 3];
+        for h in &histories {
+            let checks: Vec<Option<OpIndex>> = if h.is_complete() {
+                vec![None]
+            } else {
+                h.pending_ops().into_iter().map(Some).collect()
+            };
+            for pending in checks {
+                let verdicts = [0, 1].map(|mode| {
+                    let (monitor, async_methods) = (&monitors[mode], modes[mode]);
+                    let verdict = match pending {
+                        None => monitor.check_full(h, async_methods),
+                        Some(e) => monitor.check_stuck(h, e, async_methods),
+                    };
+                    assert_eq!(
+                        verdict,
+                        brute_force(&oracle, h, pending, async_methods),
+                        "pending {pending:?}, async {async_methods:?}: {h:?}"
+                    );
+                    tally[usize::from(!verdict)] += 1;
+                    verdict
+                });
+                tally[2] += usize::from(verdicts == [false, true]);
+            }
+        }
+        for monitor in &monitors {
+            assert_eq!(monitor.stats().paths.specialized_checks, 0);
+        }
+        tally
+    }
+}
+
+#[test]
+fn wing_gong_search_matches_brute_force() {
+    let counter = Differential {
+        make: || {
+            FnOracle::new(0i64, |s: &i64, inv: &Invocation| match inv.name.as_str() {
+                "inc" => StepResult::Returns(Value::Unit, s + 1),
+                "get" => StepResult::Returns(Value::Int(*s), *s),
+                other => StepResult::Panics(format!("unknown {other}")),
+            })
+        },
+        alphabet: vec![Invocation::new("inc"), Invocation::new("get")],
+        responses: (0..3).map(Value::Int).chain([Value::Unit]).collect(),
+        async_methods: vec!["inc".into()],
+    };
+    let queue = Differential {
+        make: || ideal_oracle(AdtKind::Queue),
+        alphabet: vec![
+            Invocation::with_int("Enqueue", 1),
+            Invocation::with_int("Enqueue", 2),
+            Invocation::new("TryDequeue"),
+        ],
+        responses: vec![
+            Value::Unit,
+            Value::Fail,
+            Value::some(Value::int(1)),
+            Value::some(Value::int(2)),
+        ],
+        async_methods: vec!["Enqueue".into()],
+    };
+    let event = Differential {
+        make: || {
+            FnOracle::new(false, |s: &bool, inv: &Invocation| {
+                match inv.name.as_str() {
+                    "Set" => StepResult::Returns(Value::Unit, true),
+                    "Reset" => StepResult::Returns(Value::Unit, false),
+                    "Wait" if *s => StepResult::Returns(Value::Unit, true),
+                    "Wait" => StepResult::Blocks,
+                    other => StepResult::Panics(format!("unknown {other}")),
+                }
+            })
+        },
+        alphabet: vec![
+            Invocation::new("Set"),
+            Invocation::new("Reset"),
+            Invocation::new("Wait"),
+        ],
+        responses: vec![Value::Unit, Value::Fail],
+        async_methods: vec!["Set".into()],
+    };
+    for (name, [accepted, rejected, relaxed]) in [
+        ("counter", counter.run(0xC0, 1000)),
+        ("queue", queue.run(0x0E, 1000)),
+        ("event", event.run(0xE7, 1000)),
+    ] {
+        assert!(
+            accepted > 100 && rejected > 100 && relaxed > 0,
+            "{name}: {accepted} accepted / {rejected} rejected / {relaxed} by async only"
+        );
+    }
 }

@@ -4,14 +4,15 @@
 //! stream, for every ADT kind and every history shape (unambiguous,
 //! ambiguous, violating, and pending). Plus a multi-client TCP smoke
 //! test exercising the socket front end and the wire `Shutdown` record,
-//! and the replay of the explorer-built capture.
+//! the replay of the explorer-built capture, and a 4,000-op held window
+//! checked on a small thread stack.
 
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use lineup::{AdtKind, Event, History};
+use lineup::{AdtKind, Event, History, Value};
 use lineup_bench::capture::capture;
 use lineup_bench::histories::{
     ambiguous_history, pending_history, unambiguous_history, violating_history,
@@ -160,6 +161,41 @@ fn pending_windows_are_held_open_and_match_offline() {
             assert!(shard.counters.stuck_checks >= 1, "{kind} seed {seed}");
         }
     }
+}
+
+#[test]
+fn long_held_window_is_checked_on_a_small_stack() {
+    // 1,000 rounds of Enqueue(1) ∥ Enqueue(1), then TryDequeue → 1 ∥
+    // TryDequeue → 1: the duplicate value holds the window open, so the
+    // whole 4,000-op stream reaches the Wing–Gong fallback at the end.
+    // The search keeps its own stack; a frame per linearized op on the
+    // thread's stack would overflow these 256 KiB.
+    let check = || {
+        let mut shard = Shard::new(Some(AdtKind::Queue), 2, &ShardConfig::default());
+        let rounds = [
+            ("Enqueue", vec![Value::int(1)], Value::Unit),
+            ("TryDequeue", vec![], Value::some(Value::int(1))),
+        ];
+        for _ in 0..1_000 {
+            for (name, args, response) in &rounds {
+                for t in 0..2 {
+                    shard.call(t, name, args.clone()).unwrap();
+                }
+                for t in 0..2 {
+                    shard.ret(t, response.clone()).unwrap();
+                }
+            }
+        }
+        assert_eq!(shard.window_ops(), 4_000, "the window was not held");
+        shard.end(false);
+        assert!(!shard.violated(), "a linearizable stream was convicted");
+    };
+    std::thread::Builder::new()
+        .stack_size(256 << 10)
+        .spawn(check)
+        .unwrap()
+        .join()
+        .unwrap();
 }
 
 #[test]

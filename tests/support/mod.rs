@@ -1,9 +1,12 @@
 //! Helpers shared by the equivalence suites: the per-class test matrix,
-//! its debug-size truncation, a decision-free violation rendering, and
-//! the dispatch from a registry entry to its concrete target type.
+//! its debug-size truncation, a decision-free violation rendering, the
+//! dispatch from a registry entry to its concrete target type, and a
+//! brute-force linearizability checker (`brute_force`).
 
 // Each suite compiles its own copy and uses a subset.
 #![allow(dead_code, unused_macros, unused_imports)]
+
+pub mod brute_force;
 
 use lineup::{History, Invocation, TestMatrix, Violation};
 use lineup_collections::registry::ClassEntry;
