@@ -30,7 +30,12 @@
 //! * **Set** — membership is per-key: successful adds and removes of a
 //!   key must alternate in any witness, so the final presence is the
 //!   initial presence XOR the parity of successful toggles. Always
-//!   closable at quiescence.
+//!   closable at quiescence. Keys are also independent for the *check*
+//!   (P-compositionality): a window of keyed ops (`TryAdd`, `TryRemove`,
+//!   `ContainsKey`, one int key each) observes only the keys it touches,
+//!   so it is checked from `carried ∩ touched keys`, not the whole
+//!   carried set. `Count` reads every key, so a window holding one (or
+//!   any op outside that alphabet) starts from the full carried state.
 //! * **Priority queue** — the state is a multiset, so it is simply
 //!   `carried ⊎ inserts − extracted`, order-free. Always closable.
 //!
@@ -377,13 +382,46 @@ impl Shard {
         self.verdicts = None;
     }
 
+    /// The monitor for the open window: the ideal oracle and the
+    /// specialized checkers' init sequence, both started from
+    /// [`window_start_state`](Self::window_start_state).
     fn window_monitor(
         &self,
         kind: AdtKind,
     ) -> Monitor<lineup_monitor::FnOracle<Vec<i64>, lineup_monitor::IdealStep>> {
-        Monitor::new(ideal_oracle_from(kind, self.carried.clone()))
+        let start = self.window_start_state(kind);
+        let init = state_invocations(kind, &start);
+        Monitor::new(ideal_oracle_from(kind, start))
             .with_adt_kind(kind)
-            .with_adt_init(state_invocations(kind, &self.carried))
+            .with_adt_init(init)
+    }
+
+    /// The state the open window is checked from. A set window whose ops
+    /// are all keyed (`TryAdd` / `TryRemove` / `ContainsKey` with one int
+    /// key) never observes an untouched key, and an untouched key can
+    /// neither fail nor fall back, so the window starts from the carried
+    /// keys it touches; verdicts and monitor counters are those of the
+    /// full carried state. Any other window — every other kind, a set
+    /// window holding `Count`, an unknown op or a malformed argument —
+    /// starts from all of `carried`.
+    fn window_start_state(&self, kind: AdtKind) -> Vec<i64> {
+        if kind != AdtKind::Set {
+            return self.carried.clone();
+        }
+        let mut touched = Vec::new();
+        for op in &self.history.ops {
+            let inv = &op.invocation;
+            let key = match (inv.name.as_str(), inv.args.as_slice()) {
+                ("TryAdd" | "TryRemove" | "ContainsKey", [Value::Int(k)]) => *k,
+                _ => return self.carried.clone(),
+            };
+            if self.carried.binary_search(&key).is_ok() {
+                touched.push(key);
+            }
+        }
+        touched.sort_unstable();
+        touched.dedup();
+        touched
     }
 
     fn check_window(&mut self, kind: AdtKind) -> bool {
@@ -514,15 +552,17 @@ impl Shard {
 
     /// Set path: final presence of a key = initial presence XOR parity
     /// of successful toggles (successful adds/removes of a key must
-    /// alternate in any witness).
+    /// alternate in any witness). Only keys with odd toggle parity are
+    /// looked up in `carried`, and the sorted result is rebuilt in linear
+    /// time.
     fn set_end_state(&self) -> Option<Vec<i64>> {
-        let mut toggles: BTreeMap<i64, u64> = BTreeMap::new();
+        let mut toggles: Vec<i64> = Vec::new();
         for op in &self.history.ops {
             match op.invocation.name.as_str() {
                 "TryAdd" => {
                     let key = int_arg(op.invocation.args.first())?;
                     match op.response.as_ref()? {
-                        Value::Bool(true) => *toggles.entry(key).or_insert(0) += 1,
+                        Value::Bool(true) => toggles.push(key),
                         Value::Bool(false) => {}
                         _ => return None,
                     }
@@ -530,7 +570,7 @@ impl Shard {
                 "TryRemove" => {
                     let key = int_arg(op.invocation.args.first())?;
                     match op.response.as_ref()? {
-                        Value::Opt(Some(_)) => *toggles.entry(key).or_insert(0) += 1,
+                        Value::Opt(Some(_)) => toggles.push(key),
                         Value::Fail => {}
                         _ => return None,
                     }
@@ -540,26 +580,26 @@ impl Shard {
                 _ => return None,
             }
         }
-        let initial: HashSet<i64> = self.carried.iter().copied().collect();
-        let mut added: Vec<i64> = Vec::new();
-        let mut removed: HashSet<i64> = HashSet::new();
-        for (key, flips) in toggles {
-            if flips % 2 == 1 {
-                if initial.contains(&key) {
-                    removed.insert(key);
+        toggles.sort_unstable();
+        let (mut added, mut removed) = (Vec::new(), Vec::new());
+        for run in toggles.chunk_by(|a, b| a == b) {
+            if run.len() % 2 == 1 {
+                let key = run[0];
+                if self.carried.binary_search(&key).is_ok() {
+                    removed.push(key);
                 } else {
                     added.push(key);
                 }
             }
         }
-        let mut state: Vec<i64> = self
-            .carried
-            .iter()
-            .copied()
-            .filter(|v| !removed.contains(v))
-            .chain(added)
-            .collect();
-        state.sort_unstable();
+        // `removed` is a sorted subset of the sorted `carried`: one walk
+        // drops it. `added` is a second sorted run, which the stable
+        // sort merges in one linear pass.
+        let mut state = self.carried.clone();
+        let mut gone = removed.into_iter().peekable();
+        state.retain(|&v| gone.next_if_eq(&v).is_none());
+        state.extend(added);
+        state.sort();
         Some(state)
     }
 
@@ -956,6 +996,74 @@ mod tests {
         assert_eq!(shard.carried, vec![3, 4, 5, 9]);
         shard.end(false);
         assert!(!shard.violated());
+    }
+
+    /// A set shard carrying `carried`, its open window holding `script`
+    /// (never closed: the window target is out of reach).
+    fn set_window(carried: Vec<i64>, script: &[(&str, Vec<Value>, Value)]) -> Shard {
+        let mut shard = Shard::new(
+            Some(AdtKind::Set),
+            1,
+            &ShardConfig {
+                window_target: usize::MAX,
+            },
+        );
+        shard.carried = carried;
+        for (name, args, response) in script {
+            shard.call(0, name, args.clone()).unwrap();
+            shard.ret(0, response.clone()).unwrap();
+        }
+        shard
+    }
+
+    #[test]
+    fn set_window_starts_from_the_carried_keys_it_touches() {
+        let carried = vec![1, 3, 5, 7, 9];
+        let keyed = [
+            ("ContainsKey", vec![Value::Int(3)], Value::Bool(true)),
+            ("TryAdd", vec![Value::Int(4)], Value::Bool(true)),
+            ("TryRemove", vec![Value::Int(9)], Value::some(Value::int(9))),
+            ("TryAdd", vec![Value::Int(3)], Value::Bool(false)),
+        ];
+        let shard = set_window(carried.clone(), &keyed);
+        assert_eq!(shard.window_start_state(AdtKind::Set), vec![3, 9]);
+        // `Count` reads every key, and an op off the keyed alphabet has
+        // no key to project on: both keep the whole carried state.
+        let offkey = [
+            ("Count", vec![], Value::int(5)),
+            (
+                "ContainsKey",
+                vec![Value::Int(1), Value::Int(2)],
+                Value::Bool(true),
+            ),
+            ("ContainsKey", vec![Value::Bool(true)], Value::Bool(false)),
+            ("Clear", vec![Value::Int(1)], Value::Unit),
+        ];
+        for op in offkey {
+            let mut script = keyed.to_vec();
+            script.push(op.clone());
+            let shard = set_window(carried.clone(), &script);
+            assert_eq!(shard.window_start_state(AdtKind::Set), carried, "{op:?}");
+        }
+        // The start state is sized by the window, not the carried set.
+        let shard = set_window(
+            (0..2_000).map(|k| 2 * k).collect(),
+            &[
+                (
+                    "TryRemove",
+                    vec![Value::Int(1_000)],
+                    Value::some(Value::int(1_000)),
+                ),
+                ("ContainsKey", vec![Value::Int(3)], Value::Bool(false)),
+                ("ContainsKey", vec![Value::Int(2)], Value::Bool(true)),
+                ("TryAdd", vec![Value::Int(3_998)], Value::Bool(false)),
+                ("ContainsKey", vec![Value::Int(2)], Value::Bool(true)),
+            ],
+        );
+        assert_eq!(
+            shard.window_start_state(AdtKind::Set),
+            vec![2, 1_000, 3_998]
+        );
     }
 
     #[test]

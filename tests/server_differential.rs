@@ -4,20 +4,22 @@
 //! stream, for every ADT kind and every history shape (unambiguous,
 //! ambiguous, violating, and pending). Plus a multi-client TCP smoke
 //! test exercising the socket front end and the wire `Shutdown` record,
-//! the replay of the explorer-built capture, and a 4,000-op held window
-//! checked on a small thread stack.
+//! the replay of the explorer-built capture, a 4,000-op held window
+//! checked on a small thread stack, and set streams whose verdicts hang
+//! on the carried presence of keys from earlier windows.
 
+use std::collections::HashMap;
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use lineup::{AdtKind, Event, History, Value};
+use lineup::{AdtKind, Event, History, Invocation, Value};
 use lineup_bench::capture::capture;
 use lineup_bench::histories::{
     ambiguous_history, pending_history, unambiguous_history, violating_history,
 };
-use lineup_monitor::{ideal_oracle, Monitor};
+use lineup_monitor::{ideal_oracle, ideal_step, Monitor, StepResult};
 use lineup_server::{
     ingest_stream, Engine, EngineConfig, Server, ServerConfig, Shard, ShardConfig,
 };
@@ -196,6 +198,192 @@ fn long_held_window_is_checked_on_a_small_stack() {
         .unwrap()
         .join()
         .unwrap();
+}
+
+/// Event positions `p` at which no call is open once `events[..p]` ran:
+/// the points where a shard may close a window.
+fn quiescent_points(h: &History) -> Vec<usize> {
+    let mut open = 0usize;
+    let mut points = Vec::new();
+    for (p, ev) in h.events.iter().enumerate() {
+        match ev {
+            Event::Call(_) => open += 1,
+            Event::Return(_) => open -= 1,
+        }
+        if open == 0 {
+            points.push(p + 1);
+        }
+    }
+    points
+}
+
+/// The key of op `i` of a set stream whose ops all take one int key.
+fn set_key(h: &History, i: usize) -> i64 {
+    match h.ops[i].invocation.args.as_slice() {
+        [Value::Int(k)] => *k,
+        other => panic!("op {i} is not keyed: {other:?}"),
+    }
+}
+
+/// One-op mutations of an unambiguous set stream (every key added at
+/// most once) that only a key's *carried* presence convicts: each
+/// rewritten op follows, across a quiescent point, the op that decided
+/// its key's presence, so at small window targets that op sits in an
+/// earlier, already discarded window.
+fn carried_presence_mutations(h: &History) -> Vec<(&'static str, History)> {
+    let quiet = quiescent_points(h);
+    // A quiescent point lies between `a`'s return and `b`'s call.
+    let apart = |a: usize, b: usize| {
+        let (ret, call) = (h.ops[a].return_pos.unwrap(), h.ops[b].call_pos);
+        quiet.iter().any(|&p| ret < p && p <= call)
+    };
+    let (mut added, mut removed) = (HashMap::new(), HashMap::new());
+    for i in 0..h.ops.len() {
+        let key = set_key(h, i);
+        match (
+            h.ops[i].invocation.name.as_str(),
+            h.ops[i].response.as_ref(),
+        ) {
+            ("TryAdd", Some(Value::Bool(true))) => assert!(added.insert(key, i).is_none()),
+            ("TryRemove", Some(Value::Opt(Some(_)))) => assert!(removed.insert(key, i).is_none()),
+            _ => {}
+        }
+    }
+    // Added in an earlier window and not removed before `j` returns.
+    let present = |k: i64, j: usize| {
+        added.get(&k).is_some_and(|&a| apart(a, j))
+            && removed.get(&k).is_none_or(|&r| h.precedes(j, r))
+    };
+    let gone = |k: i64, j: usize| removed.get(&k).is_some_and(|&r| apart(r, j));
+    // Oldest keys first: they are carried through the most windows.
+    let mut keys: Vec<i64> = added.keys().copied().collect();
+    keys.sort_unstable();
+    let rewrite = |j: usize, name: &str, key: i64, response: Value| {
+        let mut m = h.clone();
+        m.ops[j].invocation = Invocation::with_int(name, key);
+        m.ops[j].response = Some(response);
+        m
+    };
+    let mut out = Vec::new();
+    let hit = (0..h.ops.len()).rev().find(|&j| {
+        h.ops[j].invocation.name == "ContainsKey"
+            && h.ops[j].response == Some(Value::Bool(true))
+            && present(set_key(h, j), j)
+    });
+    if let Some(j) = hit {
+        let key = set_key(h, j);
+        out.push((
+            "present key read absent",
+            rewrite(j, "ContainsKey", key, Value::Bool(false)),
+        ));
+    }
+    // The other mutations overwrite an absent read of a never-added
+    // (negative) key, which moves no state and constrains nothing else.
+    let slots: Vec<usize> = (0..h.ops.len())
+        .rev()
+        .filter(|&j| h.ops[j].invocation.name == "ContainsKey" && set_key(h, j) < 0)
+        .collect();
+    if let Some((j, key)) = slots
+        .iter()
+        .find_map(|&j| keys.iter().find(|&&k| gone(k, j)).map(|&k| (j, k)))
+    {
+        out.push((
+            "removed key read present",
+            rewrite(j, "ContainsKey", key, Value::Bool(true)),
+        ));
+        out.push((
+            "removed key removed again",
+            rewrite(j, "TryRemove", key, Value::some(Value::int(key))),
+        ));
+    }
+    if let Some((j, key)) = slots
+        .iter()
+        .find_map(|&j| keys.iter().find(|&&k| present(k, j)).map(|&k| (j, k)))
+    {
+        out.push((
+            "present key added again",
+            rewrite(j, "TryAdd", key, Value::Bool(true)),
+        ));
+    }
+    out
+}
+
+/// A two-thread set stream with `Count` reads: the serial script runs
+/// against the ideal oracle, and each consecutive pair of ops overlaps
+/// (call, call, return, return), so the script order is a witness and
+/// every pair boundary is quiescent. Keys are added faster than they are
+/// removed, so most of the carried set is untouched by any one window.
+fn count_stream() -> History {
+    let mut script = Vec::new();
+    for r in 0..100i64 {
+        script.push(Invocation::with_int("TryAdd", r));
+        if r % 3 == 2 {
+            script.push(Invocation::with_int("TryRemove", r - 2));
+        }
+        script.push(Invocation::with_int("ContainsKey", r / 2));
+        if r % 5 == 4 {
+            script.push(Invocation::new("Count"));
+        }
+    }
+    if script.len() % 2 == 1 {
+        script.push(Invocation::new("Count"));
+    }
+    let step = ideal_step(AdtKind::Set);
+    let mut state = Vec::new();
+    let mut h = History::new(2);
+    for pair in script.chunks(2) {
+        let ids: Vec<usize> = pair
+            .iter()
+            .enumerate()
+            .map(|(t, inv)| h.push_call(t, inv.clone()))
+            .collect();
+        for (&id, inv) in ids.iter().zip(pair) {
+            let StepResult::Returns(response, next) = step(&state, inv) else {
+                panic!("the ideal set oracle always returns");
+            };
+            state = next;
+            h.push_return(id, response);
+        }
+    }
+    h
+}
+
+#[test]
+fn set_windows_judge_touched_keys_by_their_carried_presence() {
+    let kind = AdtKind::Set;
+    let agree = |name: &str, h: &History, expect_violation: bool| {
+        let offline = offline_verdict(kind, h, false).expect("complete history");
+        assert_eq!(offline, expect_violation, "{name}: offline sanity");
+        for window in [1usize, 7, 32, 1000] {
+            assert_eq!(
+                replay_into_shard(kind, h, false, window).violated(),
+                offline,
+                "{name} window {window}: server and offline verdicts diverge"
+            );
+        }
+    };
+    for seed in [4u64, 17, 31] {
+        let h = unambiguous_history(kind, 400, seed);
+        agree(&format!("seed {seed}"), &h, false);
+        let mutations = carried_presence_mutations(&h);
+        assert_eq!(mutations.len(), 4, "seed {seed}: a mutation found no site");
+        for (name, m) in mutations {
+            agree(&format!("seed {seed}, {name}"), &m, true);
+        }
+    }
+    // `Count` reads every carried key, touched by the window or not.
+    let h = count_stream();
+    agree("count", &h, false);
+    let last = (0..h.ops.len())
+        .rev()
+        .find(|&i| h.ops[i].invocation.name == "Count")
+        .unwrap();
+    let mut off = h.clone();
+    let Some(Value::Int(n)) = h.ops[last].response else {
+        panic!("Count returns an int");
+    };
+    off.ops[last].response = Some(Value::int(n + 1));
+    agree("count off by one", &off, true);
 }
 
 #[test]
