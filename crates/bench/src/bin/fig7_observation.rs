@@ -36,13 +36,13 @@ fn main() {
         variant: Variant::Fixed,
     };
     let (spec, stats, _) = synthesize_spec(&fixed, &m);
+    let file = write_observation_file(&spec);
     println!(
         "Phase 1: {} serial runs → {} serial histories in {} groups.\n",
         stats.runs,
         spec.len(),
-        spec.index().group_count()
+        file.matches("<observation>").count()
     );
-    let file = write_observation_file(&spec);
     println!("Fig. 7 (middle) — the observation file:\n");
     println!("{file}");
 

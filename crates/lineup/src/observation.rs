@@ -3,19 +3,21 @@
 //!
 //! Histories are grouped into `<observation>` sections; all histories in a
 //! section exhibit the same operation sequences for each thread, so (a) a
-//! witness search only needs one section and (b) the file "is easier to
-//! understand and navigate manually if the histories become large". Within
-//! a section, `<history>` elements give the serial orders in the `i[`/`]i`
-//! notation, blocking operations are marked `B` in the thread lists, and
-//! stuck histories end with `#` — all following Fig. 7. (We render
-//! arguments/results as proper XML attributes, `args="[200]"
-//! result="ok"`, instead of the paper's free-text `value="200"` body.)
+//! history's witnesses all sit in one section (paper §4.2) and (b) the
+//! file "is easier to understand and navigate manually if the histories
+//! become large". Within a section, `<history>` elements give the serial
+//! orders in the `i[`/`]i` notation, blocking operations are marked `B` in
+//! the thread lists, and stuck histories end with `#` — all following
+//! Fig. 7. (We render arguments/results as proper XML attributes,
+//! `args="[200]" result="ok"`, instead of the paper's free-text
+//! `value="200"` body.)
 
+use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
 use crate::history::History;
-use crate::spec::{ObservationSet, Outcome, SerialHistory, SpecOp};
+use crate::spec::{ObservationSet, Outcome, SerialHistory, SpecOp, ThreadKey};
 use crate::target::Invocation;
 use crate::value::{parse_value, Value};
 
@@ -57,10 +59,20 @@ fn xml_unescape(s: &str) -> String {
     out
 }
 
+/// The `<observation>` sections: the members grouped by their thread
+/// subhistories, in key order, and in set order within a section.
+fn sections(set: &ObservationSet) -> BTreeMap<ThreadKey, Vec<&SerialHistory>> {
+    let mut sections: BTreeMap<ThreadKey, Vec<&SerialHistory>> = BTreeMap::new();
+    for h in set.iter() {
+        sections.entry(h.thread_key()).or_default().push(h);
+    }
+    sections
+}
+
 /// Renders an observation set in the Fig. 7 format.
 pub fn write_observation_file(set: &ObservationSet) -> String {
     let mut out = String::from("<observationset>\n");
-    for (key, histories) in set.index().iter() {
+    for (key, histories) in &sections(set) {
         out.push_str("  <observation>\n");
         // Thread-major numbering base per thread.
         let mut base = vec![0usize; key.len()];
@@ -407,6 +419,39 @@ mod tests {
             ops: vec![sop(1, "Take", Outcome::Pending)],
         });
         set
+    }
+
+    #[test]
+    fn sections_group_by_thread_key() {
+        let mut set = ObservationSet::new();
+        let (a, b) = (
+            sop(0, "a", ret(Value::Int(0))),
+            sop(1, "b", ret(Value::Int(1))),
+        );
+        // Same per-thread sequences, different interleavings → same section.
+        set.insert(SerialHistory {
+            thread_count: 2,
+            ops: vec![a.clone(), b.clone()],
+        });
+        set.insert(SerialHistory {
+            thread_count: 2,
+            ops: vec![b.clone(), a.clone()],
+        });
+        // Different outcome → different section.
+        set.insert(SerialHistory {
+            thread_count: 2,
+            ops: vec![sop(0, "a", ret(Value::Int(9))), b],
+        });
+        let sections = sections(&set);
+        assert_eq!(sections.len(), 2);
+        let key = set.iter().next().unwrap().thread_key();
+        assert_eq!(sections[&key].len(), 2);
+        assert_eq!(
+            write_observation_file(&set)
+                .matches("<observation>")
+                .count(),
+            2
+        );
     }
 
     #[test]

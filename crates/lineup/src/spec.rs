@@ -1,10 +1,11 @@
 //! Synthesized sequential specifications: sets of serial histories
-//! (paper §2.1.2), recorded in phase 1 and consulted in phase 2.
+//! (paper §2.1.2), recorded in phase 1 and consulted in phase 2 as a
+//! prefix automaton ([`SpecIndex`]) that the witness search steps.
 
 use crate::history::History;
 use crate::target::Invocation;
 use crate::value::Value;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// The outcome of one operation of a serial history.
@@ -100,22 +101,16 @@ impl SerialHistory {
         }
     }
 
-    /// The per-thread operation sequences (the thread subhistories `S|t`),
-    /// used as the grouping key for witness search: any serial witness of
-    /// a history must perform the same operations with the same outcomes
-    /// in each thread (paper §4.2).
+    /// The per-thread operation sequences (the thread subhistories `S|t`):
+    /// any serial witness of a history performs the same operations with
+    /// the same outcomes in each thread (paper §4.2), and the observation
+    /// file groups its sections by them.
     pub fn thread_key(&self) -> ThreadKey {
         let mut key = vec![Vec::new(); self.thread_count];
         for op in &self.ops {
             key[op.thread].push((op.invocation.clone(), op.outcome.clone()));
         }
         key
-    }
-
-    /// `self.thread_key()[t]`, borrowed.
-    pub(crate) fn thread_ops(&self, t: usize) -> impl Iterator<Item = (&Invocation, &Outcome)> {
-        let ops = self.ops.iter().filter(move |op| op.thread == t);
-        ops.map(|op| (&op.invocation, &op.outcome))
     }
 }
 
@@ -283,18 +278,41 @@ impl ObservationSet {
         (only_self, only_other)
     }
 
-    /// Builds the grouped index used for witness search in phase 2.
+    /// Builds the prefix automaton that phase 2's witness search steps
+    /// (see [`SpecIndex`]).
     pub fn index(&self) -> SpecIndex<'_> {
-        // Grouped under a key of references; each group's key is built once.
-        let mut groups: BTreeMap<Vec<Vec<_>>, Vec<&SerialHistory>> = BTreeMap::new();
+        let mut index = SpecIndex {
+            nodes: vec![Node::default()],
+            roots: Vec::new(),
+        };
+        // The previous member and the nodes of its path, root first.
+        let (mut prev, mut path): (Option<&SerialHistory>, Vec<usize>) = (None, Vec::new());
         for h in &self.histories {
-            let key = (0..h.thread_count).map(|t| h.thread_ops(t).collect());
-            groups.entry(key.collect()).or_default().push(h);
+            // Members come in (thread count, ops) order: each shares its
+            // longest common prefix with the previous one and goes on with
+            // an operation no earlier member took there, a new edge.
+            let shared = match prev {
+                Some(p) if p.thread_count == h.thread_count => {
+                    p.ops.iter().zip(&h.ops).take_while(|(a, b)| a == b).count()
+                }
+                _ => {
+                    // The first thread count's root is node 0.
+                    let root = if prev.is_some() { index.push() } else { 0 };
+                    index.roots.push((h.thread_count, SpecNode(root)));
+                    path = vec![root];
+                    0
+                }
+            };
+            path.truncate(shared + 1);
+            for op in &h.ops[shared..] {
+                let node = index.push();
+                index.nodes[path[path.len() - 1]].edges.push((op, node));
+                path.push(node);
+            }
+            index.nodes[path[path.len() - 1]].member = Some(h);
+            prev = Some(h);
         }
-        let groups = groups.into_values().map(|g| (g[0].thread_key(), g));
-        SpecIndex {
-            groups: groups.collect(),
-        }
+        index
     }
 }
 
@@ -312,29 +330,56 @@ impl Extend<SerialHistory> for ObservationSet {
     }
 }
 
-/// The observation set grouped by per-thread operation sequences, so that
-/// a witness search only scans one group (paper §4.2: "when our algorithm
-/// is looking for a serial witness in the observation set, it is enough to
-/// search one group").
+/// The observation set as a prefix automaton: the trie of its serial
+/// histories, with one root per thread count. A node is a serial prefix,
+/// its edges are the next operations — thread, invocation and outcome,
+/// borrowed from the set — in set order, and it records the member that
+/// ends there, if any. A node names the path to it: a linearized set and a
+/// specification state at once (Horn & Kroening's memo key).
 #[derive(Debug, Clone)]
 pub struct SpecIndex<'a> {
-    groups: BTreeMap<ThreadKey, Vec<&'a SerialHistory>>,
+    nodes: Vec<Node<'a>>,
+    /// Each thread count's root, in set order.
+    roots: Vec<(usize, SpecNode)>,
+}
+
+/// A node of a [`SpecIndex`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct SpecNode(usize);
+
+#[derive(Debug, Clone, Default)]
+struct Node<'a> {
+    edges: Vec<(&'a SpecOp, usize)>,
+    member: Option<&'a SerialHistory>,
 }
 
 impl<'a> SpecIndex<'a> {
-    /// The candidate serial histories sharing the given per-thread key.
-    pub fn candidates(&self, key: &ThreadKey) -> &[&'a SerialHistory] {
-        self.groups.get(key).map(Vec::as_slice).unwrap_or(&[])
+    fn push(&mut self) -> usize {
+        self.nodes.push(Node::default());
+        self.nodes.len() - 1
     }
 
-    /// Number of groups (the `<observation>` sections of Fig. 7).
-    pub fn group_count(&self) -> usize {
-        self.groups.len()
+    /// The root of the serial histories over `thread_count` threads.
+    pub fn root(&self, thread_count: usize) -> Option<SpecNode> {
+        let found = self.roots.iter().find(|&&(count, _)| count == thread_count);
+        found.map(|&(_, root)| root)
     }
 
-    /// Iterates over groups in canonical order.
-    pub fn iter(&self) -> impl Iterator<Item = (&ThreadKey, &[&'a SerialHistory])> {
-        self.groups.iter().map(|(k, v)| (k, v.as_slice()))
+    /// The root of the set's first thread count — the only one in the set
+    /// of one test — or, for an empty set, a node without edges.
+    pub fn first_root(&self) -> SpecNode {
+        SpecNode(0)
+    }
+
+    /// The edges out of `node` in set order: each operation and the node
+    /// it leads to.
+    pub fn edges(&self, node: SpecNode) -> impl Iterator<Item = (&'a SpecOp, SpecNode)> + '_ {
+        (self.nodes[node.0].edges.iter()).map(|&(op, child)| (op, SpecNode(child)))
+    }
+
+    /// The member that ends at `node`, if any.
+    pub fn member(&self, node: SpecNode) -> Option<&'a SerialHistory> {
+        self.nodes[node.0].member
     }
 }
 
@@ -449,24 +494,11 @@ mod tests {
         assert!(same_a.is_empty() && same_b.is_empty());
     }
 
-    #[test]
-    fn index_groups_by_thread_key() {
-        let mut set = ObservationSet::new();
-        // Same per-thread sequences, different interleavings → same group.
-        set.insert(serial(2, vec![op(0, "a", ret(0)), op(1, "b", ret(1))]));
-        set.insert(serial(2, vec![op(1, "b", ret(1)), op(0, "a", ret(0))]));
-        // Different outcome → different group.
-        set.insert(serial(2, vec![op(0, "a", ret(9)), op(1, "b", ret(1))]));
-        let idx = set.index();
-        assert_eq!(idx.group_count(), 2);
-        let key = serial(2, vec![op(0, "a", ret(0)), op(1, "b", ret(1))]).thread_key();
-        assert_eq!(idx.candidates(&key).len(), 2);
-    }
-
     /// `check_determinism` as it was before it became one pass over the
     /// sorted set, kept verbatim as the oracle for the property below.
     mod reference {
         use super::*;
+        use std::collections::BTreeMap;
 
         pub fn check_determinism(set: &ObservationSet) -> Option<Nondeterminism> {
             // Key: (serial prefix, thread, invocation) → (outcome, history).
@@ -527,19 +559,20 @@ mod tests {
                 prop_assert_eq!(set.check_determinism(), reference::check_determinism(&set));
             }
 
+            /// Each member is spelled by a path from its thread count's
+            /// root, which ends at it; the edges out of a node are
+            /// distinct and in set order, so the path is the only one.
             #[test]
-            fn index_matches_grouping_by_cloned_keys(set in set_strategy()) {
-                let mut groups: BTreeMap<ThreadKey, Vec<&SerialHistory>> = BTreeMap::new();
-                for h in set.iter() {
-                    groups.entry(h.thread_key()).or_default().push(h);
-                }
+            fn index_spells_each_member_once(set in set_strategy()) {
                 let index = set.index();
-                prop_assert_eq!(index.group_count(), groups.len());
-                for ((key, members), (want_key, want)) in index.iter().zip(&groups) {
-                    prop_assert_eq!(key, want_key);
-                    prop_assert!(members.iter().zip(want).all(|(a, b)| std::ptr::eq(*a, *b)));
-                    prop_assert_eq!(members.len(), want.len());
-                    prop_assert_eq!(index.candidates(key).len(), want.len());
+                for h in set.iter() {
+                    let mut node = index.root(h.thread_count).expect("a root");
+                    for op in &h.ops {
+                        let labels: Vec<&SpecOp> = index.edges(node).map(|(op, _)| op).collect();
+                        prop_assert!(labels.windows(2).all(|w| w[0] < w[1]));
+                        node = index.edges(node).find(|&(label, _)| label == op).expect("an edge").1;
+                    }
+                    prop_assert!(std::ptr::eq(index.member(node).expect("a member"), h));
                 }
             }
         }

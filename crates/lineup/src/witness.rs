@@ -6,35 +6,53 @@
 //! a full history needs a witness among the full serial histories (`A`),
 //! and a stuck history needs, for each pending operation `e`, a witness
 //! for `H[e]` among the stuck serial histories (`B`) — Definitions 1 and 2.
+//!
+//! [`search`] decides this against any stepped specification. It is the
+//! one engine of [`find_witness`], which steps the observation set's
+//! prefix automaton ([`SpecIndex`]), and of `lineup-monitor`'s Wing–Gong
+//! fallback, which steps an executable oracle: a depth-first walk over the
+//! orders of the complete operations, with one cursor per thread (program
+//! order makes each thread's performed operations a prefix of its list),
+//! return floors for `<H` and an explicit stack. A stuck query's pending
+//! operation goes last, and the specification must block on it.
+
+use std::collections::HashSet;
+use std::hash::Hash;
 
 use crate::history::{History, OpIndex};
-use crate::spec::{Outcome, SerialHistory, SpecIndex, ThreadKey};
+use crate::spec::{Outcome, SerialHistory, SpecIndex, SpecOp};
+use crate::target::Invocation;
+use crate::value::Value;
 
-/// An operation identified by `(thread, index within thread)` — the
-/// identification that survives reordering into a serial witness.
-pub type ThreadPos = (usize, usize);
-
-/// A witness query: the per-thread operation sequences a witness must
-/// reproduce, plus the precedence constraints it must respect.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WitnessQuery {
-    /// Per-thread `(invocation, outcome)` sequences — the grouping key.
-    pub key: ThreadKey,
-    /// Pairs `(a, b)` with `a <H b`: every witness must order `a` before
-    /// `b`. Deduplicated and transitively reduced — pairs implied by the
-    /// composition of two others are omitted, which shrinks the per-
-    /// candidate work of [`is_witness`] without changing its verdict.
-    pub precedence: Vec<(ThreadPos, ThreadPos)>,
+/// A witness query: the set-up of a [`search`] over one history's
+/// linearizations.
+#[derive(Debug, Clone)]
+pub struct WitnessQuery<'h> {
+    thread_count: usize,
+    /// Each thread's complete operations, in call order.
+    threads: Vec<Vec<QueryOp<'h>>>,
+    /// A stuck query's pending operation: its thread and invocation.
+    pending: Option<(usize, &'h Invocation)>,
 }
 
-impl WitnessQuery {
+#[derive(Debug, Clone)]
+struct QueryOp<'h> {
+    invocation: &'h Invocation,
+    response: &'h Value,
+    call_pos: usize,
+    /// The earliest return among the thread's synchronous operations from
+    /// this one on (`usize::MAX` if none): the return floor.
+    floor: usize,
+}
+
+impl<'h> WitnessQuery<'h> {
     /// Builds the query for a *complete* history (Definition 1, with the
     /// trivial extension: full histories of a test have no pending calls).
     ///
     /// # Panics
     ///
     /// Panics if the history has pending operations.
-    pub fn for_full(h: &History) -> Self {
+    pub fn for_full(h: &'h History) -> Self {
         Self::for_full_relaxed(h, &[])
     }
 
@@ -44,17 +62,17 @@ impl WitnessQuery {
     /// "asynchronous methods, such as the cancel method"). Concretely, the
     /// precedence constraints `a <H b` with `a` asynchronous are dropped —
     /// `a`'s linearization point may move past `b`'s, though never before
-    /// `a`'s own call.
+    /// `a`'s own call, and program order still holds.
     ///
     /// # Panics
     ///
     /// Panics if the history has pending operations.
-    pub fn for_full_relaxed(h: &History, async_methods: &[String]) -> Self {
+    pub fn for_full_relaxed(h: &'h History, async_methods: &[String]) -> Self {
         assert!(
             h.is_complete(),
             "use for_stuck on histories with pending ops"
         );
-        Self::build_relaxed(h, (0..h.ops.len()).collect(), async_methods)
+        Self::build(h, None, async_methods)
     }
 
     /// Builds the query for `H[e]` where `e` is a pending operation of a
@@ -65,7 +83,7 @@ impl WitnessQuery {
     /// # Panics
     ///
     /// Panics if `pending` is in fact complete.
-    pub fn for_stuck(h: &History, pending: OpIndex) -> Self {
+    pub fn for_stuck(h: &'h History, pending: OpIndex) -> Self {
         Self::for_stuck_relaxed(h, pending, &[])
     }
 
@@ -75,105 +93,165 @@ impl WitnessQuery {
     /// # Panics
     ///
     /// Panics if `pending` is in fact complete.
-    pub fn for_stuck_relaxed(h: &History, pending: OpIndex, async_methods: &[String]) -> Self {
+    pub fn for_stuck_relaxed(h: &'h History, pending: OpIndex, async_methods: &[String]) -> Self {
         assert!(
             !h.ops[pending].is_complete(),
             "H[e] requires a pending operation e"
         );
-        let mut included = h.complete_ops();
-        included.push(pending);
-        Self::build_relaxed(h, included, async_methods)
+        Self::build(h, Some(pending), async_methods)
     }
 
-    fn build_relaxed(h: &History, mut included: Vec<OpIndex>, async_methods: &[String]) -> Self {
-        // Thread-major, and call order (= thread subhistory order, by
-        // well-formedness) within a thread: ascending `ThreadPos`, so the
-        // edges below come out sorted.
-        included.sort_by_key(|&i| (h.ops[i].thread, h.ops[i].call_pos));
-        let mut key: ThreadKey = vec![Vec::new(); h.thread_count];
-        let mut pos_of = Vec::with_capacity(included.len());
-        for &i in &included {
-            let op = &h.ops[i];
-            let outcome = match &op.response {
-                Some(v) => Outcome::Returned(v.clone()),
-                None => Outcome::Pending,
+    fn build(h: &'h History, pending: Option<OpIndex>, async_methods: &[String]) -> Self {
+        let mut threads = vec![Vec::new(); h.thread_count];
+        // `h.ops` is in call order, so each thread's list is too.
+        for op in &h.ops {
+            let (Some(response), Some(ret)) = (&op.response, op.return_pos) else {
+                continue;
             };
-            pos_of.push((op.thread, key[op.thread].len()));
-            key[op.thread].push((op.invocation.clone(), outcome));
+            let sync = !async_methods.contains(&op.invocation.name);
+            threads[op.thread].push(QueryOp {
+                invocation: &op.invocation,
+                response,
+                call_pos: op.call_pos,
+                floor: if sync { ret } else { usize::MAX },
+            });
         }
-        // `<H` as one bitset row per operation: succ[a] = { c | a <H c }
-        // and pred[c] = { a | a <H c }, without the pairs whose `a` is
-        // asynchronous — those operations do not constrain later ones,
-        // their effect may linearize past their return. (A query without
-        // operations has no rows; `chunks_exact` still needs a width.)
-        let words = included.len().div_ceil(64).max(1);
-        let mut succ = vec![0u64; included.len() * words];
-        let mut pred = succ.clone();
-        for (a, &ia) in included.iter().enumerate() {
-            if async_methods.contains(&h.ops[ia].invocation.name) {
+        for ops in &mut threads {
+            let mut floor = usize::MAX;
+            for op in ops.iter_mut().rev() {
+                floor = floor.min(op.floor);
+                op.floor = floor;
+            }
+        }
+        WitnessQuery {
+            thread_count: h.thread_count,
+            threads,
+            pending: pending.map(|e| (h.ops[e].thread, &h.ops[e].invocation)),
+        }
+    }
+}
+
+/// Failed configurations of a [`search`]: per-thread cursors and state.
+pub type Memo<S> = HashSet<(Vec<u32>, S)>;
+
+/// Searches the orders of `q`'s complete operations — program order, and
+/// `<H` relaxed for asynchronous methods — for one that a specification
+/// performs from `initial`, then blocking on the pending operation if
+/// there is one, into a state that `end` accepts. Returns that state, if
+/// found, and how many configurations `memo` pruned.
+///
+/// `step(state, thread, invocation, response)` performs one operation and
+/// returns the next state, or `None` when the operation cannot go there.
+/// `response` is the recorded one, or `None` for the pending operation,
+/// which must block. A specification whose states name the path to them
+/// needs no `memo`: no two orders meet.
+pub fn search<S, F>(
+    q: &WitnessQuery<'_>,
+    initial: S,
+    mut memo: Option<&mut Memo<S>>,
+    mut step: F,
+    end: impl Fn(&S) -> bool,
+) -> (Option<S>, u64)
+where
+    S: Clone + Eq + Hash,
+    F: FnMut(&S, usize, &Invocation, Option<&Value>) -> Option<S>,
+{
+    let threads = &q.threads;
+    let n: usize = threads.iter().map(Vec::len).sum();
+    // The stuck witness ends at the blocked call, after everything else.
+    let finish = |state: S, step: &mut F| {
+        let state = match q.pending {
+            Some((thread, invocation)) => step(&state, thread, invocation, None)?,
+            None => state,
+        };
+        end(&state).then_some(state)
+    };
+    if n == 0 {
+        return (finish(initial, &mut step), 0);
+    }
+    let mut memo_hits = 0;
+    let mut cursor = vec![0u32; threads.len()];
+    // Frames: a configuration's state and the next thread to try.
+    let mut stack = Vec::with_capacity(n);
+    stack.push((initial, 0usize));
+    while let Some((state, next)) = stack.last_mut() {
+        let mut child = None;
+        while child.is_none() && *next < threads.len() {
+            let t = *next;
+            *next += 1;
+            let Some(o) = threads[t].get(cursor[t] as usize) else {
+                continue;
+            };
+            // The floor rule: no other thread has an unperformed
+            // synchronous operation that returned before o's call.
+            let floor = |u: usize| threads[u].get(cursor[u] as usize).map(|o| o.floor);
+            if (0..threads.len()).any(|u| u != t && floor(u).is_some_and(|f| f < o.call_pos)) {
                 continue;
             }
-            for (c, &ic) in included.iter().enumerate() {
-                if h.precedes(ia, ic) {
-                    succ[a * words + c / 64] |= 1 << (c % 64);
-                    pred[c * words + a / 64] |= 1 << (a % 64);
-                }
-            }
+            child = step(state, t, o.invocation, Some(o.response)).map(|s| (t, s));
         }
-        // Transitive reduction: an edge (a, c) is dropped when some b has
-        // (a, b) and (b, c). Any serial order satisfying the reduced set
-        // satisfies the dropped edges too, so witness verdicts are
-        // unchanged while each candidate is tested on fewer pairs — `<H`
-        // is dense for mostly-serial histories, with up to quadratically
-        // many edges for a linear reduction.
-        let mut precedence = Vec::new();
-        for (a, succ_a) in succ.chunks_exact(words).enumerate() {
-            for (c, pred_c) in pred.chunks_exact(words).enumerate() {
-                let edge = succ_a[c / 64] >> (c % 64) & 1 == 1;
-                if edge && succ_a.iter().zip(pred_c).all(|(s, p)| s & p == 0) {
-                    precedence.push((pos_of[a], pos_of[c]));
-                }
+        let Some((t, state)) = child else {
+            // Every candidate failed: backtrack into the parent.
+            stack.pop();
+            if let Some(&(_, parent_next)) = stack.last() {
+                cursor[parent_next - 1] -= 1;
             }
+            continue;
+        };
+        // The child has one operation more than the top frame's
+        // `stack.len() - 1`.
+        cursor[t] += 1;
+        if stack.len() == n {
+            if let Some(state) = finish(state, &mut step) {
+                return (Some(state), memo_hits);
+            }
+        } else if memo
+            .as_mut()
+            .is_none_or(|memo| memo.insert((cursor.clone(), state.clone())))
+        {
+            stack.push((state, 0));
+            continue;
+        } else {
+            memo_hits += 1;
         }
-        WitnessQuery { key, precedence }
+        cursor[t] -= 1;
     }
+    (None, memo_hits)
 }
 
-/// The first of `candidates`, which all have the query's per-thread
-/// sequences, to order all precedence pairs correctly.
-fn first_ordered<'a>(
-    mut candidates: impl Iterator<Item = &'a SerialHistory>,
-    q: &WitnessQuery,
-) -> Option<&'a SerialHistory> {
-    // Position of each (thread, k) in the serial order of the candidate
-    // at hand: one table, refilled from candidate to candidate.
-    let mut pos: Vec<Vec<usize>> = (q.key.iter())
-        .map(|row| Vec::with_capacity(row.len()))
-        .collect();
-    candidates.find(|s| {
-        pos.iter_mut().for_each(Vec::clear);
-        for (serial_pos, op) in s.ops.iter().enumerate() {
-            pos[op.thread].push(serial_pos);
-        }
-        let mut pairs = q.precedence.iter();
-        pairs.all(|&((ta, ka), (tb, kb))| pos[ta][ka] < pos[tb][kb])
-    })
+/// Whether the operation `op` of a serial history is `invocation` on
+/// `thread` with the given response (`None`: blocking).
+fn performs(op: &SpecOp, thread: usize, invocation: &Invocation, response: Option<&Value>) -> bool {
+    let outcome = match (&op.outcome, response) {
+        (Outcome::Returned(v), Some(r)) => v == r,
+        (Outcome::Pending, None) => true,
+        _ => false,
+    };
+    op.thread == thread && outcome && op.invocation == *invocation
 }
 
-/// Whether the serial history `s` is a witness for the query: it must have
-/// the same per-thread sequences and order all precedence pairs correctly.
-pub fn is_witness(s: &SerialHistory, q: &WitnessQuery) -> bool {
-    let same = |(t, row): (usize, &Vec<_>)| s.thread_ops(t).eq(row.iter().map(|(i, o)| (i, o)));
-    s.thread_count == q.key.len()
-        && q.key.iter().enumerate().all(same)
-        && first_ordered([s].into_iter(), q).is_some()
+/// Whether the serial history `s` is a witness for the query.
+pub fn is_witness(s: &SerialHistory, q: &WitnessQuery<'_>) -> bool {
+    // A serial history is a one-path automaton; a state is a position.
+    let step = |&k: &usize, thread, invocation: &Invocation, response: Option<&Value>| {
+        let op = s.ops.get(k)?;
+        performs(op, thread, invocation, response).then_some(k + 1)
+    };
+    s.thread_count == q.thread_count && search(q, 0, None, step, |&k| k == s.ops.len()).0.is_some()
 }
 
-/// Searches the indexed observation set for a witness; returns the first
-/// one found. Only the group with the query's per-thread key is scanned
-/// (paper §4.2): being in it is having those sequences.
-pub fn find_witness<'a>(index: &SpecIndex<'a>, q: &WitnessQuery) -> Option<&'a SerialHistory> {
-    first_ordered(index.candidates(&q.key).iter().copied(), q)
+/// Searches the observation set's automaton for a witness: the member at
+/// the node where the first order of the query's operations that the
+/// automaton spells ends.
+pub fn find_witness<'a>(index: &SpecIndex<'a>, q: &WitnessQuery<'_>) -> Option<&'a SerialHistory> {
+    let root = index.root(q.thread_count)?;
+    let step = |&node: &_, thread, invocation: &Invocation, response: Option<&Value>| {
+        let mut edges = index.edges(node);
+        edges.find_map(|(op, child)| performs(op, thread, invocation, response).then_some(child))
+    };
+    // A node names its path: no two orders reach it, so no memo.
+    let (end, _) = search(q, root, None, step, |&node| index.member(node).is_some());
+    index.member(end?)
 }
 
 #[cfg(test)]
@@ -313,16 +391,24 @@ mod tests {
         h.stuck = true;
 
         let q = WitnessQuery::for_stuck(&h, w);
-        // Thread A's key: a single pending Wait.
-        assert_eq!(q.key[0], vec![(inv("Wait"), Outcome::Pending)]);
-        assert_eq!(q.key[1].len(), 3);
+        // The query: thread B's three ops, then thread A's Wait blocking.
+        let u = || Outcome::Returned(Value::Unit);
+        let blocked_last = SerialHistory {
+            thread_count: 2,
+            ops: vec![
+                sop(1, "Set", u()),
+                sop(1, "Reset", u()),
+                sop(1, "Set", u()),
+                sop(0, "Wait", Outcome::Pending),
+            ],
+        };
+        assert!(is_witness(&blocked_last, &q));
 
         // B contains only (Set)(Reset)(Wait)# — the serial run where Wait
         // blocks after Reset never performs the second Set (serial stuck
-        // histories end at the blocked call). It has a different thread
-        // key, so it cannot be a witness.
+        // histories end at the blocked call). It has other thread
+        // subhistories, so it cannot be a witness.
         let mut spec = ObservationSet::new();
-        let u = || Outcome::Returned(Value::Unit);
         spec.insert(SerialHistory {
             thread_count: 2,
             ops: vec![
@@ -345,9 +431,14 @@ mod tests {
         h.stuck = true;
 
         let q = WitnessQuery::for_stuck(&h, a);
-        assert_eq!(q.key[0], vec![(inv("p"), Outcome::Pending)]);
-        assert!(q.key[1].is_empty(), "other pending ops are removed");
-        assert_eq!(q.key[2].len(), 1);
+        let without_q = SerialHistory {
+            thread_count: 3,
+            ops: vec![sop(2, "r", ret(1)), sop(0, "p", Outcome::Pending)],
+        };
+        assert!(is_witness(&without_q, &q), "other pending ops are removed");
+        let mut with_q = without_q.clone();
+        with_q.ops.insert(1, sop(1, "q", Outcome::Pending));
+        assert!(!is_witness(&with_q, &q));
     }
 
     /// Declaring an op asynchronous drops exactly its left-hand
@@ -379,66 +470,6 @@ mod tests {
         // (covered by `witness_must_respect_precedence`).
     }
 
-    /// A serial chain a <H b <H c produces only the two adjacent pairs:
-    /// (a, c) is implied and dropped by the transitive reduction.
-    #[test]
-    fn precedence_is_transitively_reduced() {
-        let mut h = History::new(3);
-        for (t, name) in ["a", "b", "c"].iter().enumerate() {
-            let o = h.push_call(t, inv(name));
-            h.push_return(o, Value::Int(0));
-        }
-        let q = WitnessQuery::for_full(&h);
-        assert_eq!(
-            q.precedence,
-            vec![((0, 0), (1, 0)), ((1, 0), (2, 0))],
-            "only adjacent chain edges survive"
-        );
-        // The dropped edge is still enforced through the kept ones: any
-        // witness putting c before a must break an adjacent pair.
-        let bad = SerialHistory {
-            thread_count: 3,
-            ops: vec![
-                sop(2, "c", ret(0)),
-                sop(0, "a", ret(0)),
-                sop(1, "b", ret(0)),
-            ],
-        };
-        assert!(!is_witness(&bad, &q));
-        let good = SerialHistory {
-            thread_count: 3,
-            ops: vec![
-                sop(0, "a", ret(0)),
-                sop(1, "b", ret(0)),
-                sop(2, "c", ret(0)),
-            ],
-        };
-        assert!(is_witness(&good, &q));
-    }
-
-    /// Precedence pairs come out canonically ordered and duplicate-free.
-    #[test]
-    fn precedence_is_deduplicated_and_sorted() {
-        let mut h = History::new(4);
-        // Two sequential "waves" of two parallel ops each: every op of
-        // wave 1 precedes every op of wave 2 (4 cross edges, none
-        // reducible, no duplicates).
-        let w1a = h.push_call(0, inv("a"));
-        let w1b = h.push_call(1, inv("b"));
-        h.push_return(w1a, Value::Int(0));
-        h.push_return(w1b, Value::Int(0));
-        let w2a = h.push_call(2, inv("c"));
-        let w2b = h.push_call(3, inv("d"));
-        h.push_return(w2a, Value::Int(0));
-        h.push_return(w2b, Value::Int(0));
-        let q = WitnessQuery::for_full(&h);
-        let mut sorted = q.precedence.clone();
-        sorted.sort();
-        sorted.dedup();
-        assert_eq!(q.precedence, sorted);
-        assert_eq!(q.precedence.len(), 4);
-    }
-
     /// `H[e]` where `e` is the only operation: a one-op query with no
     /// constraints, matched exactly by the serial history that blocks
     /// immediately.
@@ -448,9 +479,6 @@ mod tests {
         let e = h.push_call(0, inv("Wait"));
         h.stuck = true;
         let q = WitnessQuery::for_stuck_relaxed(&h, e, &[]);
-        assert_eq!(q.key[0], vec![(inv("Wait"), Outcome::Pending)]);
-        assert!(q.key[1].is_empty());
-        assert!(q.precedence.is_empty());
         let s = SerialHistory {
             thread_count: 2,
             ops: vec![sop(0, "Wait", Outcome::Pending)],
@@ -460,8 +488,8 @@ mod tests {
 
     /// A pending operation whose method is itself asynchronous: `H[e]`
     /// still records it as pending (asynchrony relaxes *ordering*, not
-    /// the pending outcome), and completed asynchronous ops before it
-    /// impose no precedence on it.
+    /// the pending outcome), and it still goes last, after the completed
+    /// asynchronous ops.
     #[test]
     fn stuck_query_with_async_pending_op() {
         let mut h = History::new(2);
@@ -471,16 +499,19 @@ mod tests {
         let e = h.push_call(0, inv("Wait"));
         h.stuck = true;
         let asyncs = ["cancel".to_string(), "Wait".to_string()];
-        let q = WitnessQuery::for_stuck_relaxed(&h, e, &asyncs);
-        assert_eq!(q.key[0], vec![(inv("Wait"), Outcome::Pending)]);
-        assert!(
-            q.precedence.is_empty(),
-            "async lhs drops the only edge: {:?}",
-            q.precedence
-        );
-        // Without the relaxation the edge is present.
+        let relaxed = WitnessQuery::for_stuck_relaxed(&h, e, &asyncs);
         let strict = WitnessQuery::for_stuck_relaxed(&h, e, &[]);
-        assert_eq!(strict.precedence, vec![((1, 0), (0, 0))]);
+        let u = || Outcome::Returned(Value::Unit);
+        let blocked_last = SerialHistory {
+            thread_count: 2,
+            ops: vec![sop(1, "cancel", u()), sop(0, "Wait", Outcome::Pending)],
+        };
+        assert!(is_witness(&blocked_last, &relaxed) && is_witness(&blocked_last, &strict));
+        let returned = SerialHistory {
+            thread_count: 2,
+            ops: vec![sop(1, "cancel", u()), sop(0, "Wait", u())],
+        };
+        assert!(!is_witness(&returned, &relaxed));
     }
 
     /// A history without operations — a test with empty columns, or one
@@ -490,10 +521,12 @@ mod tests {
     fn query_for_a_history_without_operations() {
         let h = History::new(2);
         let q = WitnessQuery::for_full(&h);
-        assert_eq!(q, reference::build_relaxed(&h, &[], &[]));
-        assert_eq!(q.key, vec![vec![], vec![]]);
-        assert!(q.precedence.is_empty());
         let mut spec = ObservationSet::new();
+        spec.insert(SerialHistory {
+            thread_count: 2,
+            ops: vec![sop(0, "a", ret(0))],
+        });
+        assert!(find_witness(&spec.index(), &q).is_none());
         spec.insert(SerialHistory {
             thread_count: 2,
             ops: vec![],
@@ -501,80 +534,115 @@ mod tests {
         assert!(find_witness(&spec.index(), &q).is_some());
     }
 
-    /// Query construction and the witness test as they were before the
-    /// bitset reduction and the refilled position table, kept verbatim as
-    /// the oracles for the properties below.
-    mod reference {
-        use super::*;
-
-        pub fn build_relaxed(
-            h: &History,
-            included: &[OpIndex],
-            async_methods: &[String],
-        ) -> WitnessQuery {
-            // Per-thread position of each included op (call order = thread
-            // subhistory order by well-formedness).
-            let mut key: ThreadKey = vec![Vec::new(); h.thread_count];
-            let mut pos_of = vec![(0usize, 0usize); h.ops.len()];
-            let mut by_thread: Vec<Vec<OpIndex>> = vec![Vec::new(); h.thread_count];
-            let mut sorted = included.to_vec();
-            sorted.sort_by_key(|&i| h.ops[i].call_pos);
-            for &i in &sorted {
-                let op = &h.ops[i];
-                let outcome = match &op.response {
-                    Some(v) => Outcome::Returned(v.clone()),
-                    None => Outcome::Pending,
-                };
-                pos_of[i] = (op.thread, key[op.thread].len());
-                key[op.thread].push((op.invocation.clone(), outcome));
-                by_thread[op.thread].push(i);
+    /// The history that performs `ops` one after another.
+    fn serial_run(threads: usize, ops: &[(usize, &str, Outcome)]) -> History {
+        let mut h = History::new(threads);
+        for (t, name, outcome) in ops {
+            let op = h.push_call(*t, inv(name));
+            match outcome {
+                Outcome::Returned(v) => h.push_return(op, v.clone()),
+                Outcome::Pending => h.stuck = true,
             }
-            let mut edges: std::collections::BTreeSet<(ThreadPos, ThreadPos)> =
-                std::collections::BTreeSet::new();
-            for &a in &sorted {
-                // Asynchronous operations do not constrain later operations:
-                // their effect may linearize past their return.
-                if async_methods.contains(&h.ops[a].invocation.name) {
-                    continue;
-                }
-                for &b in &sorted {
-                    if a != b && h.precedes(a, b) {
-                        edges.insert((pos_of[a], pos_of[b]));
-                    }
-                }
-            }
-            let mids: Vec<ThreadPos> = edges
-                .iter()
-                .flat_map(|&(x, y)| [x, y])
-                .collect::<std::collections::BTreeSet<_>>()
-                .into_iter()
-                .collect();
-            let precedence = edges
-                .iter()
-                .copied()
-                .filter(|&(a, c)| {
-                    !mids.iter().any(|&b| {
-                        b != a && b != c && edges.contains(&(a, b)) && edges.contains(&(b, c))
-                    })
-                })
-                .collect();
-            WitnessQuery { key, precedence }
         }
+        h
+    }
 
-        pub fn is_witness(s: &SerialHistory, q: &WitnessQuery) -> bool {
-            if s.thread_key() != q.key {
-                return false;
-            }
-            // Position of each (thread, k) in the serial order.
-            let nthreads = q.key.len();
-            let mut pos: Vec<Vec<usize>> = vec![Vec::new(); nthreads];
-            for (serial_pos, op) in s.ops.iter().enumerate() {
-                pos[op.thread].push(serial_pos);
-            }
-            q.precedence
-                .iter()
-                .all(|&((ta, ka), (tb, kb))| pos[ta][ka] < pos[tb][kb])
+    /// Two members that differ in one outcome only — a nondeterministic
+    /// set, which `check_against_spec` consults without the determinism
+    /// check: each history finds its own member, a third outcome none.
+    #[test]
+    fn nondeterministic_set_finds_the_member_with_each_outcome() {
+        let members = [1, 2].map(|v| SerialHistory {
+            thread_count: 2,
+            ops: vec![sop(0, "take", ret(v)), sop(1, "get", ret(0))],
+        });
+        let spec: ObservationSet = members.iter().cloned().collect();
+        let index = spec.index();
+        for v in [1, 2, 3] {
+            let h = serial_run(2, &[(0, "take", ret(v)), (1, "get", ret(0))]);
+            let found = find_witness(&index, &WitnessQuery::for_full(&h));
+            assert_eq!(found, members.iter().find(|m| m.ops[0].outcome == ret(v)));
         }
+    }
+
+    /// A node that only a longer member passes through is no witness: not
+    /// for the history that stops there, and not on the way to another
+    /// order that ends at a member.
+    #[test]
+    fn a_prefix_of_a_member_is_no_witness() {
+        let longer = SerialHistory {
+            thread_count: 2,
+            ops: vec![
+                sop(0, "x", ret(0)),
+                sop(1, "y", ret(0)),
+                sop(0, "z", ret(0)),
+            ],
+        };
+        let other_order = SerialHistory {
+            thread_count: 2,
+            ops: vec![sop(1, "y", ret(0)), sop(0, "x", ret(0))],
+        };
+        let spec: ObservationSet = [longer, other_order.clone()].into_iter().collect();
+        let index = spec.index();
+        let serial = serial_run(2, &[(0, "x", ret(0)), (1, "y", ret(0))]);
+        assert!(find_witness(&index, &WitnessQuery::for_full(&serial)).is_none());
+        // With x and y overlapping, the x-first order is tried first and
+        // ends at the longer member's prefix.
+        let mut overlapping = History::new(2);
+        let x = overlapping.push_call(0, inv("x"));
+        let y = overlapping.push_call(1, inv("y"));
+        overlapping.push_return(x, Value::Int(0));
+        overlapping.push_return(y, Value::Int(0));
+        let found = find_witness(&index, &WitnessQuery::for_full(&overlapping));
+        assert_eq!(found, Some(&other_order));
+    }
+
+    /// The members over one thread count witness no history over another.
+    #[test]
+    fn another_thread_count_finds_no_witness() {
+        let member = SerialHistory {
+            thread_count: 1,
+            ops: vec![sop(0, "a", ret(0))],
+        };
+        let spec: ObservationSet = [member].into_iter().collect();
+        let index = spec.index();
+        let one = serial_run(1, &[(0, "a", ret(0))]);
+        assert!(find_witness(&index, &WitnessQuery::for_full(&one)).is_some());
+        let two = serial_run(2, &[(0, "a", ret(0))]);
+        assert!(find_witness(&index, &WitnessQuery::for_full(&two)).is_none());
+    }
+
+    /// The witness test straight from the definitions, the oracle for the
+    /// property below: the same thread subhistories, and `<H` — without
+    /// the pairs whose left operation is asynchronous — kept.
+    fn reference_is_witness(s: &SerialHistory, h: &History, async_methods: &[String]) -> bool {
+        let outcome =
+            |i: OpIndex| (h.ops[i].response.clone()).map_or(Outcome::Pending, Outcome::Returned);
+        let key: Vec<Vec<_>> = (0..h.thread_count)
+            .map(|t| {
+                h.thread_ops(t)
+                    .into_iter()
+                    .map(|i| (h.ops[i].invocation.clone(), outcome(i)))
+            })
+            .map(Iterator::collect)
+            .collect();
+        if s.thread_count != h.thread_count || s.thread_key() != key {
+            return false;
+        }
+        // The k-th op of thread t in `h` is the k-th op of thread t in `s`.
+        let mut pos: Vec<Vec<usize>> = vec![Vec::new(); h.thread_count];
+        for (i, op) in s.ops.iter().enumerate() {
+            pos[op.thread].push(i);
+        }
+        let at = |i: OpIndex| {
+            let t = h.ops[i].thread;
+            pos[t][h.thread_ops(t).iter().position(|&j| j == i).unwrap()]
+        };
+        let ops = 0..h.ops.len();
+        ops.clone().all(|a| {
+            async_methods.contains(&h.ops[a].invocation.name)
+                || ops.clone().all(|b| !h.precedes(a, b) || at(a) < at(b))
+        })
     }
 
     mod properties {
@@ -583,12 +651,11 @@ mod tests {
 
         const NAMES: [&str; 3] = ["a", "b", "c"];
 
-        /// A well-formed history over `threads` threads with up to `ops`
-        /// operations, driven by `script`: each number picks a thread,
-        /// which returns if it is inside a call and calls otherwise. With
-        /// `complete`, every call left open is returned at the end;
-        /// without, the history is stuck with those calls pending.
-        fn history(threads: usize, ops: usize, script: &[usize], complete: bool) -> History {
+        /// A well-formed complete history over `threads` threads with up
+        /// to `ops` operations, driven by `script`: each number picks a
+        /// thread, which returns if it is inside a call and calls
+        /// otherwise; every call left open returns at the end.
+        fn history(threads: usize, ops: usize, script: &[usize]) -> History {
             let mut h = History::new(threads);
             let mut open: Vec<Option<OpIndex>> = vec![None; threads];
             for &n in script {
@@ -601,10 +668,9 @@ mod tests {
                     None => {}
                 }
             }
-            for op in open.into_iter().flatten().filter(|_| complete) {
+            for op in open.into_iter().flatten() {
                 h.push_return(op, Value::Unit);
             }
-            h.stuck = !complete;
             h
         }
 
@@ -616,35 +682,9 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(500))]
 
-            /// Up to 70 operations, so rows of more than one word occur.
-            #[test]
-            fn bitset_queries_match_reference(
-                threads in 1usize..5,
-                ops in 0usize..71,
-                script in prop::collection::vec(0usize..1000, 1..200),
-                async_mask in 0usize..8,
-            ) {
-                let asyncs = methods(async_mask);
-                let full = history(threads, ops, &script, true);
-                let included: Vec<OpIndex> = (0..full.ops.len()).collect();
-                prop_assert_eq!(
-                    WitnessQuery::for_full_relaxed(&full, &asyncs),
-                    reference::build_relaxed(&full, &included, &asyncs)
-                );
-                let stuck = history(threads, ops, &script, false);
-                for e in stuck.pending_ops() {
-                    let mut included = stuck.complete_ops();
-                    included.push(e);
-                    prop_assert_eq!(
-                        WitnessQuery::for_stuck_relaxed(&stuck, e, &asyncs),
-                        reference::build_relaxed(&stuck, &included, &asyncs)
-                    );
-                }
-            }
-
-            /// Candidates are random interleavings of the history's own
-            /// thread subhistories (some respect `<H`, some do not) and
-            /// of a variant with another outcome (another group).
+            /// Members are random interleavings of the history's own
+            /// thread subhistories (some respect `<H`, some do not), and
+            /// some of them end in another outcome.
             #[test]
             fn witness_scan_matches_reference(
                 threads in 1usize..4,
@@ -652,15 +692,17 @@ mod tests {
                 orders in prop::collection::vec(prop::collection::vec(0usize..1000, 8), 1..12),
                 async_mask in 0usize..8,
             ) {
-                let h = history(threads, 8, &script, true);
-                let q = WitnessQuery::for_full_relaxed(&h, &methods(async_mask));
+                let h = history(threads, 8, &script);
+                let asyncs = methods(async_mask);
+                let q = WitnessQuery::for_full_relaxed(&h, &asyncs);
                 let mut spec = ObservationSet::new();
                 for (i, order) in orders.iter().enumerate() {
-                    let mut rows: Vec<_> = q.key.iter().map(|row| row.iter()).collect();
+                    let mut rows: Vec<_> = (0..threads).map(|t| h.thread_ops(t).into_iter()).collect();
                     let mut s = SerialHistory { thread_count: threads, ops: Vec::new() };
                     for &n in order.iter().cycle().take(8 * threads) {
-                        if let Some((invocation, outcome)) = rows[n % threads].next() {
-                            let (invocation, outcome) = (invocation.clone(), outcome.clone());
+                        if let Some(op) = rows[n % threads].next().map(|i| &h.ops[i]) {
+                            let outcome = Outcome::Returned(op.response.clone().unwrap());
+                            let invocation = op.invocation.clone();
                             s.ops.push(SpecOp { thread: n % threads, invocation, outcome });
                         }
                     }
@@ -669,13 +711,12 @@ mod tests {
                     }
                     spec.insert(s);
                 }
-                let index = spec.index();
-                let mut group = index.candidates(&q.key).iter().copied();
-                let want = group.find(|s| reference::is_witness(s, &q));
-                let found = find_witness(&index, &q);
-                prop_assert_eq!(found.map(std::ptr::from_ref), want.map(std::ptr::from_ref));
+                let found = find_witness(&spec.index(), &q);
+                let want = spec.iter().any(|s| reference_is_witness(s, &h, &asyncs));
+                prop_assert_eq!(found.is_some(), want);
+                prop_assert!(found.is_none_or(|s| reference_is_witness(s, &h, &asyncs)));
                 for s in spec.iter() {
-                    prop_assert_eq!(is_witness(s, &q), reference::is_witness(s, &q));
+                    prop_assert_eq!(is_witness(s, &q), reference_is_witness(s, &h, &asyncs));
                 }
             }
         }

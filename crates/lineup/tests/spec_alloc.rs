@@ -2,11 +2,11 @@
 //!
 //! The determinism check and the witness search read the phase-1 set in
 //! place: no serial prefix, invocation or history is cloned, whatever the
-//! set's size and wherever in its group the witness sits. This test pins
-//! that down independently of timing noise, by counting calls into the
-//! global allocator on the largest specification a 3×3 test can have:
-//! nine operations that all return the same value, so all 1,680 serial
-//! histories share one thread key and form one group of candidates.
+//! set's size and wherever in it the witness sits. This test pins that
+//! down independently of timing noise, by counting calls into the global
+//! allocator on the largest specification a 3×3 test can have: nine
+//! operations that all return the same value, so that all 1,680 serial
+//! histories have the same thread subhistories.
 //!
 //! One `#[test]` only: the counter is process-wide, and the test harness
 //! runs the tests of one binary on concurrent threads.
@@ -84,18 +84,19 @@ fn consulting_the_specification_copies_none_of_it() {
     assert!(allocations <= 8, "{allocations} allocations");
 
     let index = spec.index();
-    assert_eq!(index.group_count(), 1);
-    let query = |order| WitnessQuery::for_full(&one_thread_at_a_time(order));
-    let (first, last) = (query([0, 1, 2]), query([2, 1, 0]));
-    let candidates: &[&SerialHistory] = index.candidates(&first.key);
-    assert_eq!(candidates.len(), 1680);
+    let [first, last] = [[0, 1, 2], [2, 1, 0]].map(one_thread_at_a_time);
+    let (first_q, last_q) = (
+        WitnessQuery::for_full(&first),
+        WitnessQuery::for_full(&last),
+    );
 
-    // The scan refills one position table: reaching the last candidate
-    // allocates what stopping at the first does.
-    let (found, at_first) = counted(|| find_witness(&index, &first));
-    assert!(std::ptr::eq(found.expect("a witness"), candidates[0]));
-    let (found, at_last) = counted(|| find_witness(&index, &last));
-    assert!(std::ptr::eq(found.expect("a witness"), candidates[1679]));
-    println!("find_witness: {at_first} allocations at candidate 1, {at_last} at candidate 1680");
+    // `<H` is total, so the search follows one path of the automaton to
+    // either witness: the first member in set order or the last, it
+    // allocates the same.
+    let (found, at_first) = counted(|| find_witness(&index, &first_q));
+    assert_eq!(found, Some(&SerialHistory::from_history(&first)));
+    let (found, at_last) = counted(|| find_witness(&index, &last_q));
+    assert_eq!(found, Some(&SerialHistory::from_history(&last)));
+    println!("find_witness: {at_first} allocations for thread order ABC, {at_last} for CBA");
     assert_eq!(at_first, at_last);
 }

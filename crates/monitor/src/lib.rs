@@ -1,14 +1,16 @@
 //! **lineup-monitor**: a standalone linearizability monitor for the
 //! Line-Up reproduction.
 //!
-//! The core `lineup` crate checks histories by *looking up* serial
-//! witnesses in the phase-1 observation set. This crate *decides* the same
-//! question for an arbitrary recorded history, with Wing & Gong's search
-//! and Lowe's state memoization:
+//! The core `lineup` crate checks a test's histories by searching the
+//! phase-1 observation set's prefix automaton for serial witnesses. This
+//! crate runs the same search ([`lineup::witness::search`]) for an
+//! arbitrary recorded history against an executable specification, with
+//! Lowe's state memoization:
 //!
 //! * [`SeqOracle`] — an executable deterministic sequential specification,
-//!   stepped on demand: [`ObservationOracle`] steps the observation set
-//!   itself, [`FnOracle`] a hand-written one.
+//!   stepped on demand: the observation set's automaton
+//!   ([`SpecIndex`](lineup::spec::SpecIndex)) is one, [`FnOracle`] wraps a
+//!   hand-written one.
 //! * [`Monitor`] — decides whether a recorded [`History`](lineup::History)
 //!   is linearizable against the oracle, including the *stuck* variant for
 //!   blocking operations. Annotated with an [`AdtKind`](lineup::AdtKind),
@@ -20,7 +22,7 @@
 //! ```
 //! use lineup::{synthesize_spec, History, Invocation, TestMatrix, Value};
 //! use lineup::doc_support::CounterTarget;
-//! use lineup_monitor::{Monitor, ObservationOracle};
+//! use lineup_monitor::Monitor;
 //!
 //! let inc = Invocation::new("inc");
 //! let m = TestMatrix::from_columns(vec![
@@ -28,7 +30,7 @@
 //!     vec![inc.clone()],
 //! ]);
 //! let (spec, _, _) = synthesize_spec(&CounterTarget, &m);
-//! let monitor = Monitor::new(ObservationOracle::new(&spec));
+//! let monitor = Monitor::new(spec.index());
 //!
 //! // Two overlapping `inc`s, then `get` returns 1: a lost update.
 //! let mut h = History::new(2);
@@ -51,4 +53,4 @@ pub(crate) mod specialized;
 
 pub use ideal::{ideal_oracle, ideal_oracle_from, ideal_step, state_invocations, IdealStep};
 pub use linearize::{Monitor, MonitorStats};
-pub use oracle::{FnOracle, ObservationOracle, SeqOracle, StepResult};
+pub use oracle::{FnOracle, SeqOracle, StepResult};

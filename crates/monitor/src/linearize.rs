@@ -11,29 +11,21 @@
 //! recorded histories, not only those of a pre-enumerated test, which is
 //! what the online monitoring service (`lineup-server`) needs.
 //!
-//! **Memoized configurations** (Lowe's extension of Wing–Gong) keep the
-//! search tractable: a search configuration is the set of linearized
-//! operations *plus the oracle state*; configurations that failed once are
-//! never re-explored. The oracle state is part of the key because the
-//! oracle is a black box — two linearizations of the same set may reach
-//! different states — so the memo is exactly as coarse as state equality.
-//!
-//! **Cursors and floors.** Program order makes each thread's linearized
-//! operations a prefix of its call-ordered list, so a per-thread cursor
-//! vector names the linearized set and the memo key is `(cursors, oracle
-//! state)`. Thread `t`'s next operation `o` may linearize iff no other
-//! thread `u` still has a non-async operation that returned before `o`'s
-//! call: with `floor[u][k]` the earliest return among `u`'s non-async
-//! operations from position `k` on, iff `floor[u][cursor[u]] > call(o)`
-//! for every `u ≠ t` — O(threads) per candidate after an O(n) set-up. The
-//! depth-first search keeps an explicit stack of (oracle state, next
-//! thread to try) frames, so a long history cannot overflow the thread's
-//! stack.
+//! The search is `lineup`'s [`search`], the engine phase 2's witness
+//! lookup also runs: per-thread cursors, return floors and an explicit
+//! stack. The monitor adds **memoized configurations** (Lowe's extension
+//! of Wing–Gong): a configuration is the set of linearized operations —
+//! the cursors — *plus the oracle state*, and configurations that failed
+//! once are never re-explored. The oracle state is part of the key because
+//! the oracle is a black box — two linearizations of the same set may
+//! reach different states — so the memo is exactly as coarse as state
+//! equality.
 
 use std::collections::HashSet;
 use std::sync::Mutex;
 
-use lineup::{AdtKind, FallbackReason, History, Invocation, MonitorPathStats, OpIndex};
+use lineup::witness::{search, WitnessQuery};
+use lineup::{AdtKind, FallbackReason, History, Invocation, MonitorPathStats, OpIndex, Value};
 
 use crate::oracle::{SeqOracle, StepResult};
 use crate::specialized::{check_specialized, SpecialVerdict};
@@ -192,108 +184,27 @@ impl<O: SeqOracle> Monitor<O> {
     /// complete operations (in its relaxed precedence order) replays
     /// against the oracle, which then blocks on `pending` (if given).
     fn search(&self, h: &History, pending: Option<OpIndex>, async_methods: &[String]) -> bool {
-        // Per-thread complete ops in call order: a witness preserves
-        // program order unconditionally (H|t = S|t) — the async
-        // relaxation only drops *cross-thread* constraints.
-        let mut threads: Vec<Vec<OpIndex>> = vec![Vec::new(); h.thread_count];
-        for op in h.complete_ops() {
-            threads[h.ops[op].thread].push(op);
-        }
-        // floor[u][k]: the earliest return among thread u's non-async ops
-        // at program position >= k (usize::MAX past the last one).
-        let floor: Vec<Vec<usize>> = threads
-            .iter()
-            .map(|seq| {
-                let mut f = vec![usize::MAX; seq.len() + 1];
-                for (k, &op) in seq.iter().enumerate().rev() {
-                    let ret = if async_methods.contains(&h.ops[op].invocation.name) {
-                        usize::MAX
-                    } else {
-                        h.ops[op].return_pos.expect("complete op")
-                    };
-                    f[k] = f[k + 1].min(ret);
-                }
-                f
-            })
-            .collect();
-        // The stuck serial witness ends at the blocked call: the oracle
-        // must block on `pending` after everything else.
-        let ends_witness = |state: &O::State| match pending {
-            None => true,
-            Some(e) => matches!(
-                self.oracle
-                    .step(state, h.ops[e].thread, &h.ops[e].invocation),
-                StepResult::Blocks
-            ),
+        let q = match pending {
+            None => WitnessQuery::for_full_relaxed(h, async_methods),
+            Some(e) => WitnessQuery::for_stuck_relaxed(h, e, async_methods),
         };
-        let n: usize = threads.iter().map(Vec::len).sum();
-        let (mut oracle_steps, mut memo_hits) = (0u64, 0u64);
-        // Failed configurations: (per-thread cursors, oracle state).
-        let mut memo: HashSet<(Vec<u32>, O::State)> = HashSet::new();
-        let mut cursor = vec![0u32; threads.len()];
-        // Frames: a configuration's state and the next thread to try.
-        let mut stack = vec![(self.oracle.initial(), 0usize)];
-        let found = 'search: {
-            if n == 0 {
-                oracle_steps += u64::from(pending.is_some());
-                break 'search ends_witness(&stack[0].0);
+        let mut steps = 0;
+        let step = |state: &O::State, thread, invocation: &Invocation, response: Option<&Value>| {
+            steps += 1;
+            match (self.oracle.step(state, thread, invocation), response) {
+                (StepResult::Returns(v, next), Some(r)) if v == *r => Some(next),
+                (StepResult::Blocks, None) => Some(state.clone()),
+                // A mismatched response, blocking or a panic: the
+                // operation cannot linearize here.
+                _ => None,
             }
-            while let Some((state, next)) = stack.last_mut() {
-                let mut child = None;
-                while child.is_none() && *next < threads.len() {
-                    let t = *next;
-                    *next += 1;
-                    let Some(&op) = threads[t].get(cursor[t] as usize) else {
-                        continue;
-                    };
-                    let o = &h.ops[op];
-                    // The floor rule: no other thread has an unlinearized
-                    // non-async op that returned before o's call.
-                    if (0..threads.len())
-                        .any(|u| u != t && floor[u][cursor[u] as usize] < o.call_pos)
-                    {
-                        continue;
-                    }
-                    oracle_steps += 1;
-                    match self.oracle.step(state, t, &o.invocation) {
-                        StepResult::Returns(v, s) if Some(&v) == o.response.as_ref() => {
-                            child = Some((t, s));
-                        }
-                        // Mismatched response, blocking, or a panic: o
-                        // cannot linearize here.
-                        _ => {}
-                    }
-                }
-                let Some((t, state)) = child else {
-                    // Every candidate failed: backtrack into the parent.
-                    stack.pop();
-                    if let Some(&(_, parent_next)) = stack.last() {
-                        cursor[parent_next - 1] -= 1;
-                    }
-                    continue;
-                };
-                // The child has one op more than the top frame's
-                // `stack.len() - 1`.
-                cursor[t] += 1;
-                if stack.len() == n {
-                    oracle_steps += u64::from(pending.is_some());
-                    if ends_witness(&state) {
-                        break 'search true;
-                    }
-                } else if memo.insert((cursor.clone(), state.clone())) {
-                    stack.push((state, 0));
-                    continue;
-                } else {
-                    memo_hits += 1;
-                }
-                cursor[t] -= 1;
-            }
-            false
         };
+        let memo = Some(&mut HashSet::new());
+        let (end, memo_hits) = search(&q, self.oracle.initial(), memo, step, |_| true);
         let mut stats = self.stats.lock().unwrap();
-        stats.oracle_steps = stats.oracle_steps.saturating_add(oracle_steps);
+        stats.oracle_steps = stats.oracle_steps.saturating_add(steps);
         stats.memo_hits = stats.memo_hits.saturating_add(memo_hits);
-        found
+        end.is_some()
     }
 }
 
@@ -463,29 +374,6 @@ mod tests {
     }
 
     #[test]
-    fn replay_oracle_memo_fires_on_commuting_operations() {
-        // The observation oracle's state is the set of serial
-        // continuations, so the three inc orders reach one state and the
-        // exhaustive rejection below must register hits.
-        use lineup::doc_support::CounterTarget;
-        let matrix = lineup::TestMatrix::from_columns(vec![
-            vec![inv("inc"), inv("get")],
-            vec![inv("inc")],
-            vec![inv("inc")],
-        ]);
-        let m = Monitor::new(observed(&CounterTarget, &matrix));
-        let mut h = History::new(3);
-        let ops: Vec<_> = (0..3).map(|t| h.push_call(t, inv("inc"))).collect();
-        for o in ops {
-            h.push_return(o, Value::Unit);
-        }
-        let g = h.push_call(0, inv("get"));
-        h.push_return(g, Value::Int(99));
-        assert!(!m.check_full(&h, &[]), "get -> 99 is serially impossible");
-        assert!(m.stats().memo_hits > 0, "{:?}", m.stats());
-    }
-
-    #[test]
     fn canonical_memo_keeps_order_sensitive_linearizations_apart() {
         // Soundness guard for the memo key: concurrent Enqueue(10) and
         // Enqueue(20) followed by dequeues observing 20 first. Only the
@@ -506,7 +394,8 @@ mod tests {
         let target = ConcurrentQueueTarget {
             variant: Variant::Fixed,
         };
-        let m = Monitor::new(observed(&target, &matrix));
+        let set = observed(&target, &matrix);
+        let m = Monitor::new(set.index());
         let mut h = History::new(2);
         let e10 = h.push_call(0, Invocation::with_int("Enqueue", 10));
         let e20 = h.push_call(1, Invocation::with_int("Enqueue", 20));

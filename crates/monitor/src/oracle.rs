@@ -1,16 +1,15 @@
 //! Executable sequential oracles: the specification side of the monitor.
 //!
-//! The witness search of `lineup` looks a history's witness up in the
-//! observation set; a monitor instead steps a specification on demand — an
-//! abstract state machine whose transitions are invocations. For Line-Up's
-//! automatic setting that specification is the same observation set:
-//! [`ObservationOracle`] steps it directly, so the monitor needs no manual
-//! specification either. [`FnOracle`] wraps a hand-written one.
+//! A monitor steps a specification on demand — an abstract state machine
+//! whose transitions are invocations. For Line-Up's automatic setting that
+//! specification is the observation set: its prefix automaton
+//! ([`SpecIndex`]) is an oracle whose state is a node, so the monitor needs
+//! no manual specification either. [`FnOracle`] wraps a hand-written one.
 
-use std::collections::HashMap;
 use std::hash::Hash;
 
-use lineup::{Invocation, ObservationSet, Outcome, SpecOp, Value};
+use lineup::spec::{SpecIndex, SpecNode};
+use lineup::{Invocation, Outcome, Value};
 
 /// The result of stepping an oracle with one invocation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -91,91 +90,38 @@ where
     }
 }
 
-/// The automatic oracle: steps the specification phase 1 synthesized.
-///
-/// Every member of the [`ObservationSet`] is one serial execution of the
-/// test. The oracle hash-conses every suffix of every execution as a node
-/// `(operation, tail)`, and a state is the sorted set of nodes that
-/// continue the trace performed so far: its serial continuations. Stepping
-/// keeps the nodes whose head is the performed `(thread, invocation)` and
-/// moves to their tails; the head's outcome says whether the operation
-/// returns a value or blocks, and no matching head means the operation is
-/// outside the test matrix.
-///
-/// Two traces with the same continuations step identically from then on,
-/// and they reach the *same* state, so the monitor's memo needs no coarser
-/// key than state equality: two commuting increments in either order
-/// collapse, two enqueues a later dequeue tells apart do not.
+/// The automatic oracle: the prefix automaton of the specification phase 1
+/// synthesized. A state is a node, the serial prefix performed so far;
+/// stepping follows the edge of the performed `(thread, invocation)`, whose
+/// outcome says whether the operation returns a value or blocks, and no
+/// such edge means the operation is outside the test matrix. The oracle
+/// starts at [`SpecIndex::first_root`].
 ///
 /// The preconditions are those of witness search against the set: phase 1
 /// finished without a panic, and
-/// [`check_determinism`](ObservationSet::check_determinism) is `None`, so
-/// all heads matching one step share their outcome. The monitor then
-/// accepts exactly the histories of the test that have a serial witness in
-/// the set.
-#[derive(Debug, Clone)]
-pub struct ObservationOracle {
-    /// Node id → head operation and tail node (`None` where the execution
-    /// ends).
-    nodes: Vec<(SpecOp, Option<u32>)>,
-    /// The nodes of the whole executions.
-    initial: Vec<u32>,
-}
+/// [`check_determinism`](lineup::ObservationSet::check_determinism) is
+/// `None`, so one `(thread, invocation)` has one edge.
+impl SeqOracle for SpecIndex<'_> {
+    type State = SpecNode;
 
-impl ObservationOracle {
-    /// Hash-conses the serial executions of `set`.
-    pub fn new(set: &ObservationSet) -> Self {
-        let mut ids: HashMap<(SpecOp, Option<u32>), u32> = HashMap::new();
-        let mut nodes = Vec::new();
-        let mut initial = Vec::new();
-        for h in set.iter() {
-            let mut tail = None;
-            for op in h.ops.iter().rev() {
-                let id = *ids.entry((op.clone(), tail)).or_insert_with_key(|node| {
-                    nodes.push(node.clone());
-                    u32::try_from(nodes.len() - 1).expect("fewer than 2^32 suffixes")
-                });
-                tail = Some(id);
-            }
-            initial.extend(tail);
-        }
-        initial.sort_unstable();
-        initial.dedup();
-        ObservationOracle { nodes, initial }
-    }
-}
-
-impl SeqOracle for ObservationOracle {
-    /// The sorted node ids of the serial continuations.
-    type State = Vec<u32>;
-
-    fn initial(&self) -> Vec<u32> {
-        self.initial.clone()
+    fn initial(&self) -> SpecNode {
+        self.first_root()
     }
 
     fn step(
         &self,
-        state: &Vec<u32>,
+        &node: &SpecNode,
         thread: usize,
         invocation: &Invocation,
-    ) -> StepResult<Vec<u32>> {
-        let mut heads = state
-            .iter()
-            .map(|&id| &self.nodes[id as usize])
-            .filter(|(op, _)| op.thread == thread && op.invocation == *invocation)
-            .peekable();
-        let Some(&(head, _)) = heads.peek() else {
+    ) -> StepResult<SpecNode> {
+        let mut edges = self.edges(node);
+        let edge = edges.find(|(op, _)| op.thread == thread && op.invocation == *invocation);
+        let Some((op, child)) = edge else {
             return StepResult::Panics("operation outside the test matrix".into());
         };
-        // Determinism: every matching head has this outcome.
-        match &head.outcome {
+        match &op.outcome {
             Outcome::Pending => StepResult::Blocks,
-            Outcome::Returned(v) => {
-                let mut tails: Vec<u32> = heads.filter_map(|(_, tail)| *tail).collect();
-                tails.sort_unstable();
-                tails.dedup();
-                StepResult::Returns(v.clone(), tails)
-            }
+            Outcome::Returned(v) => StepResult::Returns(v.clone(), child),
         }
     }
 }
@@ -184,13 +130,13 @@ impl SeqOracle for ObservationOracle {
 pub(crate) mod tests {
     use super::*;
     use lineup::doc_support::CounterTarget;
-    use lineup::{synthesize_spec, TestMatrix, TestTarget};
+    use lineup::{synthesize_spec, ObservationSet, TestMatrix, TestTarget};
 
-    /// The oracle over phase 1 of `matrix` on `target`.
-    pub(crate) fn observed<T: TestTarget>(target: &T, matrix: &TestMatrix) -> ObservationOracle {
+    /// The specification phase 1 of `matrix` synthesizes on `target`.
+    pub(crate) fn observed<T: TestTarget>(target: &T, matrix: &TestMatrix) -> ObservationSet {
         let (set, _, panic) = synthesize_spec(target, matrix);
         assert!(panic.is_none() && set.check_determinism().is_none());
-        ObservationOracle::new(&set)
+        set
     }
 
     fn inv(name: &str) -> Invocation {
@@ -198,7 +144,7 @@ pub(crate) mod tests {
     }
 
     /// Steps `o` along `trace`, expecting every step to return.
-    fn run(o: &ObservationOracle, trace: &[(usize, Invocation)]) -> (Vec<Value>, Vec<u32>) {
+    fn run(o: &SpecIndex<'_>, trace: &[(usize, Invocation)]) -> (Vec<Value>, SpecNode) {
         let mut state = o.initial();
         let mut values = Vec::new();
         for (t, i) in trace {
@@ -213,10 +159,11 @@ pub(crate) mod tests {
 
     #[test]
     fn replay_oracle_steps_the_counter() {
-        let o = observed(
+        let set = observed(
             &CounterTarget,
             &TestMatrix::from_columns(vec![vec![inv("inc"), inv("get")], vec![inv("get")]]),
         );
+        let o = set.index();
         let (values, _) = run(&o, &[(0, inv("inc")), (0, inv("get"))]);
         assert_eq!(values, [Value::Unit, Value::Int(1)]);
         // From the initial state, get sees 0.
@@ -228,10 +175,11 @@ pub(crate) mod tests {
     fn replay_preserves_thread_placement() {
         // Thread 1 never performs inc: the same invocation there is
         // outside the test matrix.
-        let o = observed(
+        let set = observed(
             &CounterTarget,
             &TestMatrix::from_columns(vec![vec![inv("inc")], vec![inv("get")]]),
         );
+        let o = set.index();
         assert!(matches!(
             o.step(&o.initial(), 1, &inv("inc")),
             StepResult::Panics(_)
@@ -242,30 +190,18 @@ pub(crate) mod tests {
 
     #[test]
     fn replay_oracle_respects_init() {
-        let o = observed(
+        let set = observed(
             &CounterTarget,
             &TestMatrix::from_columns(vec![vec![inv("get")]])
                 .with_init(vec![inv("inc"), inv("inc")]),
         );
+        let o = set.index();
         let (values, _) = run(&o, &[(0, inv("get"))]);
         assert_eq!(
             values,
             [Value::Int(2)],
             "init sequence ran before the trace"
         );
-    }
-
-    #[test]
-    fn canonical_key_collapses_commuting_orders() {
-        // Two incs on different threads: either order leaves the same
-        // serial continuations, so the states coincide.
-        let o = observed(
-            &CounterTarget,
-            &TestMatrix::from_columns(vec![vec![inv("inc"), inv("get")], vec![inv("inc")]]),
-        );
-        let (_, s1) = run(&o, &[(0, inv("inc")), (1, inv("inc"))]);
-        let (_, s2) = run(&o, &[(1, inv("inc")), (0, inv("inc"))]);
-        assert_eq!(s1, s2, "inc orders are behaviorally equivalent");
     }
 
     #[test]
@@ -276,10 +212,11 @@ pub(crate) mod tests {
             variant: Variant::Fixed,
         };
         let enq = |v| Invocation::with_int("Enqueue", v);
-        let o = observed(
+        let set = observed(
             &target,
             &TestMatrix::from_columns(vec![vec![enq(10), inv("TryDequeue")], vec![enq(20)]]),
         );
+        let o = set.index();
         let (_, s1) = run(&o, &[(0, enq(10)), (1, enq(20))]);
         let (_, s2) = run(&o, &[(1, enq(20)), (0, enq(10))]);
         assert_ne!(s1, s2, "the later dequeue observes the enqueue order");

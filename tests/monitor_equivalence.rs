@@ -9,41 +9,45 @@
 //! as recorded histories: these matrices deadlock only on bugs, so the
 //! stuck serial ones are where a pending call blocks justifiably.
 //!
-//! The monitor steps the same observation set through an
-//! `ObservationOracle`. Matrices whose phase 1 panics or is
-//! nondeterministic are skipped: the check rejects them before phase 2.
+//! The monitor steps the same observation set, its prefix automaton
+//! being an oracle. Matrices whose phase 1 panics or is nondeterministic
+//! are skipped: the check rejects them before phase 2. On the same
+//! histories of every matrix, skipping none, `find_witness` must find a
+//! witness exactly when some linearization is a member of the set.
 //!
 //! A registry class's ADT-kind annotation claims ideal-ADT behavior
 //! serially, so the ideal oracle of that kind must also accept every
 //! phase-1 history of the fixed classes.
 //!
-//! The search itself is held to a brute-force enumerator of linearizations
-//! on random histories of at most eight operations, and its search tree
-//! (oracle steps, memo hits) is pinned on one ambiguous history per kind.
+//! The search itself is held to brute-force enumerators of linearizations
+//! (`support::brute_force`) — against an oracle on random histories of
+//! at most eight operations, and against the set as above — and its
+//! search tree (oracle steps, memo hits) is pinned on one ambiguous
+//! history per kind.
 
 mod support;
 
 use std::collections::{HashSet, VecDeque};
 use std::ops::ControlFlow;
 
+use lineup::spec::SpecIndex;
 use lineup::{
     explore_matrix, find_witness, synthesize_spec, AdtKind, History, Invocation, MonitorPathStats,
-    OpIndex, Outcome, SerialHistory, TestMatrix, TestTarget, Value, WitnessQuery,
+    ObservationSet, OpIndex, Outcome, SerialHistory, TestMatrix, TestTarget, Value, WitnessQuery,
 };
 use lineup_bench::histories::ambiguous_history;
 use lineup_collections::registry::{all_classes, ClassEntry};
 use lineup_monitor::{
-    ideal_oracle, ideal_oracle_from, ideal_step, FnOracle, Monitor, ObservationOracle, SeqOracle,
-    StepResult,
+    ideal_oracle, ideal_oracle_from, ideal_step, FnOracle, Monitor, SeqOracle, StepResult,
 };
 use lineup_sched::{Config, RunOutcome};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use support::brute_force::brute_force;
+use support::brute_force::{brute_force, brute_force_in_set};
 use support::with_concrete_target;
 
 /// A monitor over a test's observation set, as the caller configures it.
-type Observed = Monitor<ObservationOracle>;
+type Observed<'a> = Monitor<SpecIndex<'a>>;
 
 /// The matrices to compare a class on: its own regression matrices, or —
 /// for fixed variants, which have no expected root causes — the matrices
@@ -73,22 +77,13 @@ fn recorded(s: &SerialHistory) -> History {
     h
 }
 
-/// Asserts that the monitor `annotate` makes over the observation set of
-/// `matrix` and `find_witness` against that set agree on every distinct
-/// history of `matrix`, serial ones included. Returns the monitor's path counters, or `None`,
-/// comparing nothing, when phase 1 panics or is nondeterministic.
-fn assert_agreement<T: TestTarget>(
+/// The distinct full and stuck histories of `matrix` under preemption
+/// bound 2, with the serial histories of its specification `spec`.
+fn distinct_histories<T: TestTarget>(
     target: &T,
     matrix: &TestMatrix,
-    annotate: impl Fn(Observed) -> Observed,
-    name: &str,
-) -> Option<MonitorPathStats> {
-    let (spec, _, panic) = synthesize_spec(target, matrix);
-    if panic.is_some() || spec.check_determinism().is_some() {
-        return None;
-    }
-    let monitor = annotate(Monitor::new(ObservationOracle::new(&spec)));
-    let index = spec.index();
+    spec: &ObservationSet,
+) -> (HashSet<History>, HashSet<History>) {
     let (mut full, mut stuck) = (HashSet::new(), HashSet::new());
     for s in spec.iter() {
         let set = if s.is_stuck() { &mut stuck } else { &mut full };
@@ -106,6 +101,27 @@ fn assert_agreement<T: TestTarget>(
         }
         ControlFlow::Continue(())
     });
+    (full, stuck)
+}
+
+/// Asserts that the monitor `annotate` makes over the observation set of
+/// `matrix` and `find_witness` against that set agree on every distinct
+/// history of `matrix`, serial ones included. Returns the monitor's path
+/// counters, or `None`, comparing nothing, when phase 1 panics or is
+/// nondeterministic.
+fn assert_agreement<T: TestTarget>(
+    target: &T,
+    matrix: &TestMatrix,
+    annotate: impl for<'a> Fn(Observed<'a>) -> Observed<'a>,
+    name: &str,
+) -> Option<MonitorPathStats> {
+    let (spec, _, panic) = synthesize_spec(target, matrix);
+    if panic.is_some() || spec.check_determinism().is_some() {
+        return None;
+    }
+    let monitor = annotate(Monitor::new(spec.index()));
+    let index = spec.index();
+    let (full, stuck) = distinct_histories(target, matrix, &spec);
     for h in &full {
         assert_eq!(
             monitor.check_full(h, &[]),
@@ -130,14 +146,13 @@ fn assert_agreement<T: TestTarget>(
 /// when no matrix was compared.
 fn agrees_on(
     entry: &ClassEntry,
-    annotate: impl Fn(Observed, &TestMatrix) -> Observed,
+    annotate: impl for<'a> Fn(Observed<'a>, &TestMatrix) -> Observed<'a>,
 ) -> Option<MonitorPathStats> {
     let mut paths: Option<MonitorPathStats> = None;
     for matrix in matrices_for(entry) {
-        let for_matrix = |monitor| annotate(monitor, &matrix);
         macro_rules! agree {
             ($target:expr) => {
-                assert_agreement(&$target, &matrix, &for_matrix, entry.name)
+                assert_agreement(&$target, &matrix, |m| annotate(m, &matrix), entry.name)
             };
         }
         if let Some(compared) = with_concrete_target!(entry, agree) {
@@ -202,6 +217,53 @@ fn kind_annotated_backend_matches_find_witness_on_all_classes() {
         "expected annotated coverage, got {annotated}"
     );
     assert!(specialized > 0, "no history took a specialized path");
+}
+
+/// Asserts that `find_witness` against the specification of `matrix`
+/// finds a witness exactly when some order of the history's operations is
+/// a member, on every distinct history of `matrix`. Returns how many
+/// queries found none.
+fn assert_witness_iff_member<T: TestTarget>(target: &T, matrix: &TestMatrix, name: &str) -> usize {
+    let (spec, _, _) = synthesize_spec(target, matrix);
+    let (index, members) = (spec.index(), spec.iter().collect());
+    let (full, stuck) = distinct_histories(target, matrix, &spec);
+    let pending = |h: &History| h.pending_ops().into_iter().map(Some);
+    let checks = (full.iter().map(|h| (h, None)))
+        .chain(stuck.iter().flat_map(|h| pending(h).map(move |e| (h, e))));
+    let mut rejects = 0;
+    for (h, pending) in checks {
+        let q = pending.map_or_else(
+            || WitnessQuery::for_full(h),
+            |e| WitnessQuery::for_stuck(h, e),
+        );
+        let found = find_witness(&index, &q).is_some();
+        assert_eq!(
+            found,
+            brute_force_in_set(&members, h, pending, &[]),
+            "{name}: pending {pending:?} of {h:?} of\n{matrix}"
+        );
+        rejects += usize::from(!found);
+    }
+    rejects
+}
+
+#[test]
+fn find_witness_matches_brute_force_in_set() {
+    // Phase 2's search against the definitions, on the specifications of
+    // every class, panicking and nondeterministic ones included: the
+    // search is exact on any set.
+    let mut rejects = 0;
+    for entry in all_classes() {
+        for matrix in matrices_for(&entry) {
+            macro_rules! compare {
+                ($target:expr) => {
+                    assert_witness_iff_member(&$target, &matrix, entry.name)
+                };
+            }
+            rejects += with_concrete_target!(&entry, compare);
+        }
+    }
+    assert!(rejects > 0, "no history without a witness");
 }
 
 #[test]

@@ -112,3 +112,41 @@ fn observation_file_is_stable_across_synthesis_runs() {
     let (b, _, _) = entry.target().synthesize_spec(&m);
     assert_eq!(write_observation_file(&a), write_observation_file(&b));
 }
+
+#[test]
+fn fig7_and_fig3_files_match_their_goldens() {
+    // The files as printed before the grouping moved from the witness
+    // index to print time: the Fig. 7 queue test (fixed queue) and the
+    // Fig. 3 counter test, byte for byte.
+    use lineup::synthesize_spec;
+    use lineup_collections::concurrent_queue::ConcurrentQueueTarget;
+    use lineup_collections::counter::{CounterKind, CounterTarget};
+    let inv = Invocation::new;
+    let fig7 = TestMatrix::from_columns(vec![
+        vec![
+            Invocation::with_int("Add", 200),
+            Invocation::with_int("Add", 400),
+        ],
+        vec![inv("TryTake"), inv("TryTake")],
+    ]);
+    let queue = ConcurrentQueueTarget {
+        variant: Variant::Fixed,
+    };
+    let (spec, _, _) = synthesize_spec(&queue, &fig7);
+    assert_eq!(
+        write_observation_file(&spec),
+        include_str!("golden/fig7_queue.xml")
+    );
+    let fig3 = TestMatrix::from_columns(vec![
+        vec![inv("inc"), inv("get")],
+        vec![inv("dec"), inv("get")],
+    ]);
+    let counter = CounterTarget {
+        kind: CounterKind::Correct,
+    };
+    let (spec, _, _) = synthesize_spec(&counter, &fig3);
+    assert_eq!(
+        write_observation_file(&spec),
+        include_str!("golden/fig3_counter.xml")
+    );
+}
