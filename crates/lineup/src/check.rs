@@ -837,9 +837,12 @@ fn check_against_spec_at<T: TestTarget>(
     }
 
     let phase = PhaseStats {
-        // Every schedule executes exactly once — a stolen task's prefix
-        // replay happens *inside* its first (new) run, never as an extra
-        // one — so `runs` does not depend on the worker count. (Under
+        // With POR off every schedule executes exactly once — a stolen
+        // task's prefix replay happens *inside* its first (new) run,
+        // never as an extra one — so `runs` does not depend on the worker
+        // count. With POR on, a split promotes the victim's sleep-set
+        // nodes to full exploration, so `runs` may exceed the one-worker
+        // count; the distinct histories do not change. (Under
         // stop-at-first, peers abandon runs a known winner superseded
         // uncounted.)
         runs: runs_done.into_inner(),

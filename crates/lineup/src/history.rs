@@ -618,9 +618,12 @@ impl KeyWriter {
 /// random hash key; that one hash picks the shard (from its upper half)
 /// and the bucket within the shard's map (from its lower half, through a
 /// pass-through hasher). Sharded so parallel workers rarely contend on one
-/// mutex; single-threaded consumers simply use one shard. Hits (a lookup
-/// that found an entry) are counted across all shards for the
-/// `phase2_cache_hits` statistics.
+/// mutex; single-threaded consumers simply use one shard. Hits are
+/// counted across all shards for the `phase2_cache_hits` statistics: a
+/// lookup that found an entry, or an insert that found one already there
+/// (another consumer computed the same key after this one missed), so
+/// every key probed counts once as a hit or once as a winning insert,
+/// whatever the interleaving.
 #[derive(Debug)]
 pub struct HistoryCache<V> {
     shards: Vec<Mutex<HashMap<HistoryKey, V, BuildHasherDefault<StoredHash>>>>,
@@ -684,13 +687,17 @@ impl<V: Clone> HistoryCache<V> {
     /// Inserts a verdict unless another consumer beat us to it; returns
     /// the verdict now in the cache and whether this call inserted it.
     /// The first-wins discipline keeps concurrent workers agreeing on one
-    /// verdict per class even if they raced to compute it. The key — the
-    /// one just probed with [`get_key`](HistoryCache::get_key) — moves in.
+    /// verdict per class even if they raced to compute it; the loser
+    /// counts a hit. The key — the one just probed with
+    /// [`get_key`](HistoryCache::get_key) — moves in.
     pub fn insert_key_if_absent(&self, mut key: HistoryKey, verdict: V) -> (V, bool) {
         key.bytes.shrink_to_fit();
         let mut shard = self.shard(&key).lock().unwrap_or_else(|e| e.into_inner());
         match shard.entry(key) {
-            Entry::Occupied(existing) => (existing.get().clone(), false),
+            Entry::Occupied(existing) => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                (existing.get().clone(), false)
+            }
             Entry::Vacant(slot) => {
                 slot.insert(verdict.clone());
                 (verdict, true)
@@ -956,8 +963,9 @@ mod tests {
         let (v, inserted) = cache.insert_if_absent(&h, false);
         assert!(v, "first verdict wins");
         assert!(!inserted);
+        assert_eq!(cache.hits(), 1, "a losing insert is a hit");
         assert_eq!(cache.get(&h), Some(true));
-        assert_eq!(cache.hits(), 1);
+        assert_eq!(cache.hits(), 2);
         assert_eq!(cache.len(), 1);
     }
 

@@ -15,6 +15,7 @@ use std::time::Instant;
 use lineup::{AdtKind, HistoryCache};
 use lineup_wire::Record;
 
+use crate::net::Listener;
 use crate::shard::{Shard, ShardConfig, ShardCounters, ShardError};
 use crate::stats::StatsSnapshot;
 
@@ -40,6 +41,8 @@ pub struct Engine {
     connections: AtomicU64,
     protocol_errors: AtomicU64,
     shutdown: AtomicBool,
+    /// Listeners blocked in `accept`, woken once on shutdown.
+    wakes: Mutex<Vec<Listener>>,
     started: Instant,
 }
 
@@ -55,6 +58,7 @@ impl Engine {
             connections: AtomicU64::new(0),
             protocol_errors: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
+            wakes: Mutex::new(Vec::new()),
             started: Instant::now(),
         }
     }
@@ -190,9 +194,25 @@ impl Engine {
         self.connections.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Asks the service to stop accepting and drain.
+    /// Asks the service to stop accepting and drain: sets the flag, then
+    /// wakes every listener registered so far. A listener registered
+    /// later sees the flag before its first `accept`.
     pub fn request_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        // Pushes and takes leave the list whole: a poisoned lock is safe.
+        let wakes = std::mem::take(&mut *self.wakes.lock().unwrap_or_else(|e| e.into_inner()));
+        for listener in &wakes {
+            listener.wake();
+        }
+    }
+
+    /// Registers a listener for [`request_shutdown`](Self::request_shutdown)
+    /// to wake.
+    pub(crate) fn add_wake(&self, listener: Listener) {
+        self.wakes
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .push(listener);
     }
 
     /// Whether shutdown was requested.

@@ -1,17 +1,17 @@
 //! Socket front end: TCP and Unix-socket listeners, one ingest thread
 //! per connection, cooperative shutdown via the wire `Shutdown` record.
 //!
-//! Built on `std::net`/`std::os::unix::net` only. Listeners poll with a
-//! short accept timeout (non-blocking accept + sleep) so a shutdown
-//! request observed by any connection stops the whole service without
-//! signal machinery.
+//! Built on `std::net`/`std::os::unix::net` only. Listeners block in
+//! `accept`; a shutdown request observed by any connection sets the
+//! engine's flag and then wakes each listener with one throwaway
+//! connection, so the whole service stops without signal machinery.
 
 use std::io::{self, BufReader, Read};
-use std::net::{SocketAddr, TcpListener};
-use std::os::unix::net::UnixListener;
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
@@ -19,8 +19,12 @@ use lineup_wire::{FrameReader, WireError};
 
 use crate::engine::{Engine, EngineConfig};
 
-/// How often idle listeners re-check the shutdown flag.
-const ACCEPT_POLL: Duration = Duration::from_millis(25);
+/// Back-off after a failed `accept` (e.g. out of file descriptors), so a
+/// persistent failure does not spin.
+const ACCEPT_RETRY: Duration = Duration::from_millis(25);
+
+/// How long a shutdown wake may take to connect.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Read buffer per connection: large enough that syscalls are not the
 /// ingest bottleneck.
@@ -35,6 +39,31 @@ pub struct ServerConfig {
     pub unix: Option<PathBuf>,
     /// Engine (and per-shard) tuning.
     pub engine: EngineConfig,
+}
+
+/// A bound listener, as the shutdown wake reaches it.
+#[derive(Debug, Clone)]
+pub(crate) enum Listener {
+    Tcp(SocketAddr),
+    Unix(PathBuf),
+}
+
+impl Listener {
+    /// Returns the listener's thread from a blocked `accept` by
+    /// connecting once; the accept loop sees the shutdown flag and drops
+    /// the connection unserved. Errors mean the listener is gone already.
+    pub(crate) fn wake(&self) {
+        match self {
+            // An unspecified bind address (`0.0.0.0`, `::`) connects to
+            // the local host.
+            Listener::Tcp(addr) => {
+                let _ = TcpStream::connect_timeout(addr, WAKE_TIMEOUT);
+            }
+            Listener::Unix(path) => {
+                let _ = UnixStream::connect(path);
+            }
+        }
+    }
 }
 
 /// A running monitoring service.
@@ -57,14 +86,20 @@ impl Server {
 
         if let Some(addr) = &config.tcp {
             let listener = TcpListener::bind(addr.as_str())?;
-            listener.set_nonblocking(true)?;
-            tcp_addr = Some(listener.local_addr()?);
+            let local = listener.local_addr()?;
+            tcp_addr = Some(local);
+            engine.add_wake(Listener::Tcp(local));
+            let accept = move || {
+                let (stream, _) = listener.accept()?;
+                let _ = stream.set_nodelay(true);
+                Ok(stream)
+            };
             let engine = Arc::clone(&engine);
             let live = Arc::clone(&live_connections);
             listeners.push(
                 thread::Builder::new()
                     .name("lineup-accept-tcp".into())
-                    .spawn(move || accept_loop_tcp(listener, engine, live))?,
+                    .spawn(move || accept_loop(accept, &engine, &live))?,
             );
         }
 
@@ -72,13 +107,14 @@ impl Server {
             // A stale socket file from a previous run would fail the bind.
             let _ = std::fs::remove_file(path);
             let listener = UnixListener::bind(path)?;
-            listener.set_nonblocking(true)?;
+            engine.add_wake(Listener::Unix(path.clone()));
+            let accept = move || listener.accept().map(|(stream, _)| stream);
             let engine = Arc::clone(&engine);
             let live = Arc::clone(&live_connections);
             listeners.push(
                 thread::Builder::new()
                     .name("lineup-accept-unix".into())
-                    .spawn(move || accept_loop_unix(listener, engine, live))?,
+                    .spawn(move || accept_loop(accept, &engine, &live))?,
             );
         }
 
@@ -108,13 +144,11 @@ impl Server {
     }
 
     /// Blocks until shutdown is requested and all listeners and
-    /// connections have drained, then removes the Unix socket file.
+    /// connections have drained, then removes the Unix socket file. Each
+    /// listener joins its own connections before it exits.
     pub fn join(self) {
         for handle in self.listeners {
             let _ = handle.join();
-        }
-        while self.live_connections.load(Ordering::SeqCst) > 0 {
-            thread::sleep(ACCEPT_POLL);
         }
         if let Some(path) = &self.unix_path {
             let _ = std::fs::remove_file(path);
@@ -122,39 +156,35 @@ impl Server {
     }
 }
 
-fn accept_loop_tcp(listener: TcpListener, engine: Arc<Engine>, live: Arc<AtomicU64>) {
-    let workers: Arc<Mutex<Vec<thread::JoinHandle<()>>>> = Arc::default();
+/// Serves every connection `accept` yields, until shutdown; then joins
+/// the connections it started.
+fn accept_loop<S: Read + Send + 'static>(
+    mut accept: impl FnMut() -> io::Result<S>,
+    engine: &Arc<Engine>,
+    live: &Arc<AtomicU64>,
+) {
+    let mut workers = Vec::new();
     while !engine.shutdown_requested() {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nodelay(true);
-                spawn_connection(&workers, &engine, &live, stream);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(ACCEPT_POLL),
-            Err(_) => thread::sleep(ACCEPT_POLL),
+        let accepted = accept();
+        // After shutdown this is the wake (or a late client): unserved.
+        if engine.shutdown_requested() {
+            break;
+        }
+        match accepted {
+            Ok(stream) => workers.extend(spawn_connection(engine, live, stream)),
+            Err(_) => thread::sleep(ACCEPT_RETRY),
         }
     }
-    join_workers(&workers);
-}
-
-fn accept_loop_unix(listener: UnixListener, engine: Arc<Engine>, live: Arc<AtomicU64>) {
-    let workers: Arc<Mutex<Vec<thread::JoinHandle<()>>>> = Arc::default();
-    while !engine.shutdown_requested() {
-        match listener.accept() {
-            Ok((stream, _)) => spawn_connection(&workers, &engine, &live, stream),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(ACCEPT_POLL),
-            Err(_) => thread::sleep(ACCEPT_POLL),
-        }
+    for handle in workers {
+        let _ = handle.join();
     }
-    join_workers(&workers);
 }
 
 fn spawn_connection<S: Read + Send + 'static>(
-    workers: &Arc<Mutex<Vec<thread::JoinHandle<()>>>>,
     engine: &Arc<Engine>,
     live: &Arc<AtomicU64>,
     stream: S,
-) {
+) -> Option<thread::JoinHandle<()>> {
     engine.note_connection();
     live.fetch_add(1, Ordering::SeqCst);
     let engine = Arc::clone(engine);
@@ -168,19 +198,10 @@ fn spawn_connection<S: Read + Send + 'static>(
             }
             worker_live.fetch_sub(1, Ordering::SeqCst);
         });
-    match handle {
-        Ok(handle) => workers.lock().unwrap().push(handle),
-        Err(_) => {
-            live.fetch_sub(1, Ordering::SeqCst);
-        }
+    if handle.is_err() {
+        live.fetch_sub(1, Ordering::SeqCst);
     }
-}
-
-fn join_workers(workers: &Arc<Mutex<Vec<thread::JoinHandle<()>>>>) {
-    let drained: Vec<_> = std::mem::take(&mut *workers.lock().unwrap());
-    for handle in drained {
-        let _ = handle.join();
-    }
+    handle.ok()
 }
 
 /// Ingests one stream: handshake, then demux every record until EOF or
@@ -211,7 +232,8 @@ mod tests {
     use lineup::{AdtKind, Value};
     use lineup_wire::StreamRecorder;
     use std::io::Write;
-    use std::net::TcpStream;
+    use std::sync::{mpsc, Mutex};
+    use std::time::Instant;
 
     fn queue_stream(ops: i64) -> Vec<u8> {
         let buf = Arc::new(Mutex::new(Vec::new()));
@@ -275,5 +297,37 @@ mod tests {
         assert_eq!(snap.counters.ops, 100);
         assert_eq!(snap.counters.violations, 0);
         assert_eq!(snap.connections, 1);
+    }
+
+    #[test]
+    fn shutdown_wakes_blocked_listeners() {
+        let unix = std::env::temp_dir().join(format!("lineup-wake-{}.sock", std::process::id()));
+        let server = Server::spawn(ServerConfig {
+            tcp: Some("127.0.0.1:0".into()),
+            unix: Some(unix.clone()),
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let engine = Arc::clone(server.engine());
+        let mut stream = TcpStream::connect(server.tcp_addr().unwrap()).unwrap();
+        stream.write_all(&queue_stream(1)).unwrap();
+        drop(stream);
+        // The deadlines guard against a hang; they time nothing.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while engine.snapshot().objects_finished < 1 {
+            assert!(Instant::now() < deadline, "the object was never retired");
+            thread::sleep(Duration::from_millis(1));
+        }
+        engine.request_shutdown();
+        let (joined, done) = mpsc::channel();
+        let joiner = thread::spawn(move || {
+            server.join();
+            joined.send(()).unwrap();
+        });
+        done.recv_timeout(Duration::from_secs(10))
+            .expect("join returned after request_shutdown");
+        joiner.join().unwrap();
+        assert!(!unix.exists(), "join removes the socket file");
+        assert_eq!(engine.snapshot().connections, 1);
     }
 }

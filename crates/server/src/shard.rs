@@ -42,9 +42,12 @@
 //! A quiescent point that fails the rule (duplicate values in flight,
 //! concurrent surviving inserts) is *held*: the window keeps growing
 //! until a closable point or the end of the object. Held windows are
-//! counted so the pressure is observable in the stats.
+//! counted so the pressure is observable in the stats. The queue/stack
+//! rule is kept as a running tally that each attempt extends by the
+//! operations completed since the last one, so holding a window costs
+//! O(new ops) per attempt, not a rescan of the whole window.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -174,6 +177,8 @@ pub struct Shard {
     /// no window of this shard will be checked again: no cache attached,
     /// no ADT kind, or a violation already flagged.
     verdicts: Option<(Arc<HistoryCache<bool>>, KeyWriter)>,
+    /// The open queue/stack window's end-state rule, folded so far.
+    tally: SeqTally,
     /// Counters for this object (current generation).
     pub counters: ShardCounters,
 }
@@ -194,6 +199,7 @@ impl Shard {
             violated: false,
             done: false,
             verdicts: None,
+            tally: SeqTally::default(),
             counters: ShardCounters::default(),
         }
     }
@@ -304,6 +310,7 @@ impl Shard {
         self.completed = 0;
         self.carried = Vec::new();
         self.verdicts = None;
+        self.tally = SeqTally::default();
     }
 
     /// Closes the current window if allowed. `at_end` forces the check
@@ -323,7 +330,12 @@ impl Shard {
                 return;
             }
         };
-        let next_state = self.window_end_state(kind);
+        // The last window hands no state on.
+        let next_state = if at_end {
+            None
+        } else {
+            self.window_end_state(kind)
+        };
         if next_state.is_none() && !at_end {
             self.counters.windows_held += 1;
             return;
@@ -470,6 +482,7 @@ impl Shard {
     fn reset_window(&mut self) {
         self.history = History::new(self.threads);
         self.completed = 0;
+        self.tally.clear();
         // pending == 0 at every close point, so `open` is already clear.
         if let (Some(kind), Some((_, key))) = (self.kind, &mut self.verdicts) {
             key.begin_window(kind, self.threads, &self.carried);
@@ -481,73 +494,15 @@ impl Shard {
     /// Exactness argument in the module docs; when the window is not
     /// linearizable the returned state is unused (the shard flags the
     /// violation instead).
-    fn window_end_state(&self, kind: AdtKind) -> Option<Vec<i64>> {
-        match kind {
-            AdtKind::Queue => self.seq_end_state("Enqueue", "TryDequeue"),
-            AdtKind::Stack => self.seq_end_state("Push", "TryPop"),
-            AdtKind::Set => self.set_end_state(),
-            AdtKind::PriorityQueue => self.pqueue_end_state(),
-        }
-    }
-
-    /// Shared queue/stack path: survivors of the carried state (in
-    /// order) followed by surviving inserts in their forced order.
-    fn seq_end_state(&self, ins: &str, rem: &str) -> Option<Vec<i64>> {
-        let h = &self.history;
-        let mut inserts: Vec<(usize, i64)> = Vec::new();
-        let mut removed: Vec<i64> = Vec::new();
-        for (i, op) in h.ops.iter().enumerate() {
-            let name = op.invocation.name.as_str();
-            if name == ins {
-                inserts.push((i, int_arg(op.invocation.args.first())?));
-            } else if name == rem {
-                match op.response.as_ref()? {
-                    Value::Opt(Some(b)) => match **b {
-                        Value::Int(v) => removed.push(v),
-                        _ => return None,
-                    },
-                    Value::Fail => {}
-                    _ => return None,
-                }
-            } else {
-                // Unknown operation: no state function. The check still
-                // runs at object end and rejects it.
-                return None;
-            }
-        }
-        // Distinctness across carried state + window inserts: removal
-        // identity and survivor sets are then unambiguous.
-        let mut all: Vec<i64> = self
-            .carried
-            .iter()
-            .copied()
-            .chain(inserts.iter().map(|&(_, v)| v))
-            .collect();
-        all.sort_unstable();
-        if all.windows(2).any(|w| w[0] == w[1]) {
-            return None;
-        }
-        let gone: HashSet<i64> = removed.into_iter().collect();
-        let mut state: Vec<i64> = self
-            .carried
-            .iter()
-            .copied()
-            .filter(|v| !gone.contains(v))
-            .collect();
-        let mut survivors: Vec<(usize, i64)> = inserts
-            .into_iter()
-            .filter(|&(_, v)| !gone.contains(&v))
-            .collect();
-        survivors.sort_by_key(|&(i, _)| h.ops[i].call_pos);
-        // Interval orders are transitive, so consecutive precedence
-        // pins the total order of all survivors.
-        for w in survivors.windows(2) {
-            if !h.precedes(w[0].0, w[1].0) {
-                return None;
-            }
-        }
-        state.extend(survivors.into_iter().map(|(_, v)| v));
-        Some(state)
+    fn window_end_state(&mut self, kind: AdtKind) -> Option<Vec<i64>> {
+        let (ins, rem) = match kind {
+            AdtKind::Queue => ("Enqueue", "TryDequeue"),
+            AdtKind::Stack => ("Push", "TryPop"),
+            AdtKind::Set => return self.set_end_state(),
+            AdtKind::PriorityQueue => return self.pqueue_end_state(),
+        };
+        self.tally.fold(&self.carried, &self.history, ins, rem);
+        self.tally.end_state(&self.carried)
     }
 
     /// Set path: final presence of a key = initial presence XOR parity
@@ -657,10 +612,207 @@ fn int_arg(arg: Option<&Value>) -> Option<i64> {
     }
 }
 
+/// Where one value stands in the open queue/stack window.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Slot {
+    /// Carried into the window and not removed by it.
+    Carried,
+    /// Carried into the window and removed by it.
+    CarriedRemoved,
+    /// Inserted by this operation and not removed.
+    Survivor(usize),
+    /// Inserted and removed within the window.
+    InsertedRemoved,
+    /// Removed by an operation called before its insert (the two
+    /// overlap); the insert has not been folded yet.
+    RemovedBeforeInsert,
+}
+
+/// No survivor: the end of the survivor list.
+const NIL: usize = usize::MAX;
+
+/// One surviving insert in the survivor list.
+#[derive(Debug, Clone, Copy, Default)]
+struct Link {
+    prev: usize,
+    next: usize,
+    value: i64,
+}
+
+/// The open queue/stack window's end-state rule, folded op by op.
+///
+/// Each close attempt folds only the operations completed since the
+/// last one, in call order (every op is complete at a quiescent point),
+/// so a window held across many quiescent points costs O(ops) in all
+/// instead of one rescan per attempt. The rule is the module docs' one:
+/// the window is closable iff every value across the carried state and
+/// the window's inserts is distinct and the surviving inserts are
+/// pairwise `<H`-ordered. Interval orders are transitive, so the second
+/// half reduces to the *adjacent* survivors in call order, which the
+/// tally keeps as an intrusive list with a count of unordered adjacent
+/// pairs. The buffers are cleared, not dropped, between windows.
+#[derive(Debug, Default)]
+struct SeqTally {
+    /// Operations of the window folded so far (a call-order prefix).
+    folded: usize,
+    /// Every value the carried state or the window has mentioned.
+    slots: HashMap<i64, Slot>,
+    /// Survivor links, indexed by operation (read for survivors only).
+    links: Vec<Link>,
+    head: usize,
+    tail: usize,
+    /// Adjacent survivor pairs not ordered by `<H`.
+    unordered: usize,
+    /// An unknown op, a malformed argument or response, or a duplicate
+    /// value: each stays in the window as it grows, so the window can
+    /// no longer close before the object ends.
+    poisoned: bool,
+    /// Operations folded since the shard started, for tests.
+    #[cfg(test)]
+    folds: usize,
+}
+
+impl SeqTally {
+    /// Forgets the window, keeping the buffers' capacity; the next fold
+    /// starts a new one.
+    fn clear(&mut self) {
+        self.folded = 0;
+        self.slots.clear();
+        self.links.clear();
+    }
+
+    /// Folds the operations of `h` not folded yet; the first fold of a
+    /// window starts it from the carried values. Inserts are named `ins`
+    /// and removes `rem`.
+    fn fold(&mut self, carried: &[i64], h: &History, ins: &str, rem: &str) {
+        if self.folded == 0 {
+            (self.head, self.tail, self.unordered) = (NIL, NIL, 0);
+            self.poisoned = false;
+            for &v in carried {
+                if self.slots.insert(v, Slot::Carried).is_some() {
+                    self.poisoned = true;
+                }
+            }
+        }
+        let start = std::mem::replace(&mut self.folded, h.ops.len());
+        if self.poisoned {
+            return;
+        }
+        self.links.resize(h.ops.len(), Link::default());
+        for i in start..h.ops.len() {
+            #[cfg(test)]
+            {
+                self.folds += 1;
+            }
+            if self.fold_op(h, i, ins, rem).is_none() {
+                self.poisoned = true;
+                return;
+            }
+        }
+    }
+
+    /// Folds operation `i`; `None` when it poisons the window.
+    fn fold_op(&mut self, h: &History, i: usize, ins: &str, rem: &str) -> Option<()> {
+        let op = &h.ops[i];
+        let name = op.invocation.name.as_str();
+        if name == ins {
+            let v = int_arg(op.invocation.args.first())?;
+            let slot = self.slots.entry(v).or_insert(Slot::Survivor(i));
+            match *slot {
+                Slot::Survivor(s) if s == i => self.push_survivor(h, i, v),
+                Slot::RemovedBeforeInsert => *slot = Slot::InsertedRemoved,
+                // A duplicate value.
+                _ => return None,
+            }
+        } else if name == rem {
+            let v = match op.response.as_ref()? {
+                Value::Opt(Some(b)) => match **b {
+                    Value::Int(v) => v,
+                    _ => return None,
+                },
+                Value::Fail => return Some(()),
+                _ => return None,
+            };
+            let slot = self.slots.entry(v).or_insert(Slot::RemovedBeforeInsert);
+            match *slot {
+                Slot::Carried => *slot = Slot::CarriedRemoved,
+                Slot::Survivor(s) => {
+                    *slot = Slot::InsertedRemoved;
+                    self.unlink(h, s);
+                }
+                _ => {}
+            }
+        } else {
+            // Unknown operation: no state function. The check still
+            // runs at object end and rejects it.
+            return None;
+        }
+        Some(())
+    }
+
+    /// Appends survivor `i` (the latest in call order) to the list.
+    fn push_survivor(&mut self, h: &History, i: usize, value: i64) {
+        let prev = self.tail;
+        self.links[i] = Link {
+            prev,
+            next: NIL,
+            value,
+        };
+        if prev == NIL {
+            self.head = i;
+        } else {
+            self.links[prev].next = i;
+            self.unordered += usize::from(!h.precedes(prev, i));
+        }
+        self.tail = i;
+    }
+
+    /// Drops survivor `i` from the list, re-pairing its neighbours.
+    fn unlink(&mut self, h: &History, i: usize) {
+        let Link { prev, next, .. } = self.links[i];
+        let unordered = |a: usize, b: usize| usize::from(a != NIL && b != NIL && !h.precedes(a, b));
+        self.unordered =
+            self.unordered + unordered(prev, next) - unordered(prev, i) - unordered(i, next);
+        if prev == NIL {
+            self.head = next;
+        } else {
+            self.links[prev].next = next;
+        }
+        if next == NIL {
+            self.tail = prev;
+        } else {
+            self.links[next].prev = prev;
+        }
+    }
+
+    /// The window's unique end state as folded so far: the carried
+    /// values not removed, in order, then the survivors in call order;
+    /// `None` when the window is not closable.
+    fn end_state(&self, carried: &[i64]) -> Option<Vec<i64>> {
+        if self.poisoned || self.unordered > 0 {
+            return None;
+        }
+        let mut state: Vec<i64> = carried
+            .iter()
+            .copied()
+            .filter(|v| self.slots.get(v) == Some(&Slot::Carried))
+            .collect();
+        let mut i = self.head;
+        while i != NIL {
+            state.push(self.links[i].value);
+            i = self.links[i].next;
+        }
+        Some(state)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use lineup_monitor::ideal_oracle;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::HashSet;
 
     /// Streams a recorded history's events into a shard.
     fn feed(shard: &mut Shard, h: &History) {
@@ -1111,5 +1263,176 @@ mod tests {
             let offline = Monitor::new(ideal_oracle(kind)).with_adt_kind(kind);
             assert!(offline.check_full(&h, &[]), "{kind}: offline rejected");
         }
+    }
+
+    /// The queue/stack end-state rule by definition: rescan the whole
+    /// window. The reference for [`SeqTally`].
+    fn rescan_end_state(carried: &[i64], h: &History, ins: &str, rem: &str) -> Option<Vec<i64>> {
+        let mut inserts: Vec<(usize, i64)> = Vec::new();
+        let mut removed: Vec<i64> = Vec::new();
+        for (i, op) in h.ops.iter().enumerate() {
+            let name = op.invocation.name.as_str();
+            if name == ins {
+                inserts.push((i, int_arg(op.invocation.args.first())?));
+            } else if name == rem {
+                match op.response.as_ref()? {
+                    Value::Opt(Some(b)) => match **b {
+                        Value::Int(v) => removed.push(v),
+                        _ => return None,
+                    },
+                    Value::Fail => {}
+                    _ => return None,
+                }
+            } else {
+                return None;
+            }
+        }
+        let mut all: Vec<i64> = carried
+            .iter()
+            .copied()
+            .chain(inserts.iter().map(|&(_, v)| v))
+            .collect();
+        all.sort_unstable();
+        if all.windows(2).any(|w| w[0] == w[1]) {
+            return None;
+        }
+        let gone: HashSet<i64> = removed.into_iter().collect();
+        let mut state: Vec<i64> = carried
+            .iter()
+            .copied()
+            .filter(|v| !gone.contains(v))
+            .collect();
+        let survivors: Vec<(usize, i64)> = inserts
+            .into_iter()
+            .filter(|&(_, v)| !gone.contains(&v))
+            .collect();
+        if survivors.windows(2).any(|w| !h.precedes(w[0].0, w[1].0)) {
+            return None;
+        }
+        state.extend(survivors.into_iter().map(|(_, v)| v));
+        Some(state)
+    }
+
+    /// One random call of a queue/stack stream: mostly fresh inserts and
+    /// removes of live values, plus duplicates, removes of values not
+    /// inserted yet, failed removes, unknown ops and malformed
+    /// arguments or responses. Returns the invocation and its response.
+    fn random_op(
+        rng: &mut SmallRng,
+        (ins, rem): (&str, &str),
+        fresh: &mut i64,
+        live: &mut Vec<i64>,
+    ) -> (Invocation, Value) {
+        let roll = rng.gen_range(0..100);
+        match roll {
+            0 => (Invocation::new("Peek"), Value::Fail),
+            1 => (Invocation::new(ins), Value::Unit),
+            2 => (Invocation::new(rem), Value::Unit),
+            3 => (Invocation::new(rem), Value::some(Value::Bool(true))),
+            4..=7 if !live.is_empty() => {
+                let dup = live[rng.gen_range(0..live.len())];
+                (Invocation::with_int(ins, dup), Value::Unit)
+            }
+            8..=13 => {
+                // Removed here, inserted by a later call (if ever).
+                let ahead = *fresh + rng.gen_range(1..4);
+                (Invocation::new(rem), Value::some(Value::int(ahead)))
+            }
+            14..=19 => (Invocation::new(rem), Value::Fail),
+            20..=54 if !live.is_empty() => {
+                let v = live.swap_remove(rng.gen_range(0..live.len()));
+                (Invocation::new(rem), Value::some(Value::int(v)))
+            }
+            _ => {
+                *fresh += 1;
+                live.push(*fresh);
+                (Invocation::with_int(ins, *fresh), Value::Unit)
+            }
+        }
+    }
+
+    #[test]
+    fn tally_matches_the_rescan_at_every_quiescent_point() {
+        let (mut attempts, mut closable, mut closed) = (0, 0, 0);
+        for seed in 0..400u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let names = if seed % 2 == 0 {
+                ("Enqueue", "TryDequeue")
+            } else {
+                ("Push", "TryPop")
+            };
+            let threads = rng.gen_range(1..4usize);
+            let mut fresh = 0i64;
+            let mut carried: Vec<i64> = (0..rng.gen_range(0..4)).map(|k| 100 + k).collect();
+            if seed % 16 == 5 {
+                carried.push(100);
+            }
+            let mut live = carried.clone();
+            let mut h = History::new(threads);
+            let mut tally = SeqTally::default();
+            let mut open: Vec<Option<(usize, Value)>> = vec![None; threads];
+            for _ in 0..80 {
+                let t = rng.gen_range(0..threads);
+                match open[t].take() {
+                    Some((op, response)) => h.push_return(op, response),
+                    None => {
+                        let (inv, response) = random_op(&mut rng, names, &mut fresh, &mut live);
+                        open[t] = Some((h.push_call(t, inv), response));
+                        continue;
+                    }
+                }
+                if open.iter().any(Option::is_some) {
+                    continue;
+                }
+                attempts += 1;
+                tally.fold(&carried, &h, names.0, names.1);
+                let expected = rescan_end_state(&carried, &h, names.0, names.1);
+                assert_eq!(tally.end_state(&carried), expected, "seed {seed}:\n{h}");
+                if let Some(state) = expected {
+                    closable += 1;
+                    if rng.gen_bool(0.3) {
+                        closed += 1;
+                        carried = state;
+                        h = History::new(threads);
+                        tally.clear();
+                    }
+                }
+            }
+        }
+        // Both outcomes, and closes that carry a state on, are common.
+        assert!(closable > attempts / 10, "{closable} of {attempts}");
+        assert!(
+            attempts - closable > attempts / 10,
+            "{closable} of {attempts}"
+        );
+        assert!(closed > 100, "{closed}");
+    }
+
+    #[test]
+    fn held_window_folds_each_op_once() {
+        let k = 20;
+        let mut shard = Shard::new(Some(AdtKind::Queue), 2, &ShardConfig { window_target: 1 });
+        // Two overlapping surviving enqueues: their order is not forced,
+        // so every quiescent point holds the window.
+        shard.call(0, "Enqueue", vec![Value::Int(1)]).unwrap();
+        shard.call(1, "Enqueue", vec![Value::Int(2)]).unwrap();
+        shard.ret(0, Value::Unit).unwrap();
+        shard.ret(1, Value::Unit).unwrap();
+        for v in 10..10 + k - 1 {
+            shard.call(0, "Enqueue", vec![Value::Int(v)]).unwrap();
+            shard.ret(0, Value::Unit).unwrap();
+        }
+        assert_eq!(shard.counters.windows_held, k as u64);
+        assert_eq!(shard.counters.windows_closed, 0);
+        assert_eq!(shard.tally.folds, shard.window_ops());
+        // Dequeuing 1 leaves survivors 2, 10, 11, ... in forced order.
+        shard.call(0, "TryDequeue", vec![]).unwrap();
+        shard.ret(0, Value::some(Value::int(1))).unwrap();
+        assert_eq!(shard.counters.windows_closed, 1);
+        assert_eq!(shard.tally.folds as u64, shard.counters.ops);
+        let expected: Vec<i64> = [2].into_iter().chain(10..10 + k - 1).collect();
+        assert_eq!(shard.carried, expected);
+        shard.end(false);
+        assert!(!shard.violated());
     }
 }

@@ -256,6 +256,47 @@ fn stop_at_first_reports_the_serial_winner() {
     assert!(checked >= 3, "expected seeded variants, got {checked}");
 }
 
+#[test]
+fn cache_hits_and_distinct_histories_account_for_every_checked_run() {
+    // Every run that reaches the verdict cache either adds its history
+    // (a distinct full or stuck history) or counts a hit — also when two
+    // workers miss on one history and race to insert it — so the three
+    // counters repeat exactly under work stealing.
+    let all = all_classes();
+    let mut checked = 0;
+    for entry in all.iter().filter(|e| {
+        let class = e.name.trim_end_matches(" (Pre)");
+        ["SemaphoreSlim", "BlockingCollection", "ConcurrentBag"].contains(&class)
+    }) {
+        for matrix in entry.regression_matrices() {
+            for workers in [2, 4] {
+                let opts = CheckOptions::new()
+                    .collect_all_violations()
+                    .with_workers(workers)
+                    .with_parallel_probe_runs(0);
+                for _ in 0..5 {
+                    let report = entry.target().check(&matrix, &opts);
+                    let p = &report.phase2;
+                    // Sleep-set prunes and panics never reach the cache.
+                    let panics = report
+                        .violations
+                        .iter()
+                        .filter(|v| matches!(v, Violation::Panic { serial: false, .. }))
+                        .count() as u64;
+                    assert_eq!(
+                        p.phase2_cache_hits + (p.full_histories + p.stuck_histories) as u64,
+                        p.runs - p.sleep_prunes - panics,
+                        "{} at {workers} workers",
+                        entry.name
+                    );
+                    checked += 1;
+                }
+            }
+        }
+    }
+    assert!(checked >= 30, "expected regression matrices, got {checked}");
+}
+
 /// One-worker phase 2 against a bare reference loop that shares none of
 /// the driver: `explore_matrix` under the `Config` the checker builds,
 /// then `find_witness` on every full history and on every pending
